@@ -19,8 +19,8 @@ from .mixed_norms import CoeffSeq, NormSpec, Permutation, a_norm, admissibility
 
 __all__ = [
     "ADParams", "ADSufficiencyReport", "ad_entry", "sufficiency_check",
-    "all_rects", "apply_ad", "lift", "random_coeff_seq", "empirical_norm",
-    "composition_constant", "necessity_curve",
+    "apply_ad", "random_coeff_seq", "empirical_norm", "composition_constant",
+    "necessity_curve",
 ]
 
 INF = math.inf
@@ -95,12 +95,6 @@ def sufficiency_check(params: ADParams, spec: NormSpec,
     return ADSufficiencyReport(d_ok, e_ok, f_ok, r, untested)
 
 
-def all_rects(window: Window):
-    for j in window.levels():
-        for _, R in window.rects_at_level(j):
-            yield R
-
-
 def apply_ad(params: ADParams, t: CoeffSeq, window: Window,
              level_radius: int = 6, dist_radius: float = 64.0):
     """(Bt)_P = sum_R b_{PR} t_R over the window's rectangles, truncated
@@ -108,7 +102,7 @@ def apply_ad(params: ADParams, t: CoeffSeq, window: Window,
     dist_radius per axis.  Returns (CoeffSeq, truncation tail bound)."""
     support = list(t.data.items())
     out = {}
-    for P in all_rects(window):
+    for P in window.rects():
         acc = 0.0
         for R, v in support:
             if any(abs(a - b) > level_radius
@@ -156,11 +150,6 @@ def _tail_bound(params: ADParams, t: CoeffSeq, level_radius: int,
     return params.const * mass * tail
 
 
-def lift(t: CoeffSeq, sigma) -> CoeffSeq:
-    """Scale t_P by prod_i l(P_i)^{-sigma_i}; inverse of lift(., -sigma)."""
-    return t.lift(tuple(sigma))
-
-
 def random_coeff_seq(window: Window, rng, per_level: int = 2,
                      m: int = 1) -> CoeffSeq:
     data = {}
@@ -204,7 +193,7 @@ def composition_constant(pa: ADParams, pb: ADParams,
                     tuple(map(min, pa.E, pb.E)),
                     tuple(map(min, pa.F, pb.F)),
                     pa.const * pb.const)
-    rects = list(all_rects(window))
+    rects = list(window.rects())
     worst = 0.0
     for P in rects:
         for R in rects:

@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (OpenSet, PiecewiseField, Window, block_reduce,
-                       expand_mask, level_mask)
+from .geometry import OpenSet, Window, block_lp, expand_mask, level_mask
 from .mixed_norms import NormSpec, iterated_norm
 from .weights import MatrixWeight, ReducingFamily, op_norm
 
@@ -48,19 +47,11 @@ class MultiplierFamily:
                                 {j: c * g for j, g in self.gammas.items()})
 
 
-def _level_lp(window: Window, g: np.ndarray, j: tuple, p: float):
-    """Normalized L^p norms over every level-j rectangle, coarse grid."""
-    factors = window.block_factors(j)
-    if p == INF:
-        return block_reduce(g, factors, np.max)
-    return block_reduce(g ** p, factors, np.mean) ** (1.0 / p)
-
-
 def rect_functional(gamma: MultiplierFamily, p: float) -> float:
     """sup_j sup over level-j rectangles of |gamma_j|_{Lp(R)}."""
     best = 0.0
     for j, g in gamma.gammas.items():
-        best = max(best, float(_level_lp(gamma.window, g, j, p).max()))
+        best = max(best, float(block_lp(gamma.window, g, j, p).max()))
     return best
 
 
@@ -97,7 +88,7 @@ def rect_truncated_functional(gamma: MultiplierFamily, s: float) -> float:
         for j, g in gamma.gammas.items():
             if j[0] >= jQ[0]:
                 np.maximum(top, g, out=top)
-        coarse = _level_lp(w, top, jQ, s)
+        coarse = block_lp(w, top, jQ, s)
         best = max(best, float(coarse.max()))
     return best
 
@@ -115,8 +106,7 @@ def all_open_sets(window: Window, max_cells: int = 14):
 
 def dyadic_omega_family(window: Window):
     """All single dyadic rectangles of the window, as open sets."""
-    return [OpenSet.from_rect(window, R)
-            for j in window.levels() for _, R in window.rects_at_level(j)]
+    return [OpenSet.from_rect(window, R) for R in window.rects()]
 
 
 def acarl_functional(V: MatrixWeight, fam: ReducingFamily, s: float,
@@ -179,15 +169,7 @@ def random_level_constant(window: Window, levels, rng,
     for j in levels:
         coarse = 2.0 ** rng.uniform(-log_range, log_range,
                                     window.coarse_shape(j))
-        out[j] = expand_mask(window, coarse, j) if coarse.dtype == bool \
-            else _expand(window, coarse, j)
-    return out
-
-
-def _expand(window: Window, coarse: np.ndarray, j: tuple) -> np.ndarray:
-    out = coarse
-    for axis, f in enumerate(window.block_factors(j)):
-        out = np.repeat(out, f, axis=axis)
+        out[j] = expand_mask(window, coarse, j)
     return out
 
 

@@ -1,7 +1,10 @@
 """Batch experiment runner: every module gets a subcommand that runs its
 standard checks, writes JSON verdicts plus CSV curves, and drops a
-reproducibility manifest (config hash, version, wall clock, per-check
-pass/fail).  Identical (config, seed) pairs produce bit-identical files.
+reproducibility manifest (config, config hash, version, wall clock,
+per-check pass/fail).  The hash leaves out where files go (``out``,
+``results_dir``, ``config``), so identical inputs give the same hash and
+bit-identical result and CSV files in any directory.  Manifests, and the
+report that copies them, also record the output path and wall clock.
 
 Subcommands: quilt, sigma, norms, weights, maximal, carleson, ad,
 counterexample, report.
@@ -26,6 +29,10 @@ INF = math.inf
 
 # ----------------------------------------------------------------------
 # plumbing
+
+# config keys that say where files go, not what is computed
+_NOT_HASHED = ("out", "config", "results_dir")
+
 
 def _canonical(cfg: dict) -> str:
     return json.dumps(cfg, sort_keys=True, separators=(",", ":"))
@@ -52,10 +59,12 @@ def _finish(out: str, command: str, cfg: dict, checks: dict,
             t0: float, results: dict) -> int:
     os.makedirs(out, exist_ok=True)
     _write_json(os.path.join(out, f"{command}_results.json"), results)
+    inputs = {k: v for k, v in cfg.items() if k not in _NOT_HASHED}
     manifest = {
         "command": command,
         "config": cfg,
-        "config_hash": hashlib.sha256(_canonical(cfg).encode()).hexdigest(),
+        "config_hash": hashlib.sha256(
+            _canonical(inputs).encode()).hexdigest(),
         "version": __version__,
         "wall_clock_s": round(time.monotonic() - t0, 3),
         "checks": checks,
@@ -75,8 +84,6 @@ def _load_config(args) -> dict:
         cfg[key] = val
     cfg.setdefault("seed", 0)
     cfg.setdefault("out", "out")
-    cfg.setdefault("threads", 1)
-    cfg.setdefault("exact", False)
     os.makedirs(cfg["out"], exist_ok=True)
     return cfg
 
@@ -377,10 +384,6 @@ def _common(sub):
                      help="JSON config; CLI flags override its keys")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", type=str, default=None)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--exact", action="store_true", default=None,
-                     help="forbid floating shortcuts where exact "
-                          "paths exist")
 
 
 def build_parser() -> argparse.ArgumentParser:

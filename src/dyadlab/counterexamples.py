@@ -4,9 +4,11 @@ equivalence outside its hypotheses, with measured divergence curves.
 Each case produces a ratio curve (size N, numerator norm, denominator
 norm) whose fitted log-log slope is compared against the predicted
 exponent.  Numerators and denominators are evaluated in closed form by
-exact region sums; `generate` additionally materializes the small-N data
-on a lattice window so the closed forms can be cross-checked with the
-generic mixed-norm machinery.
+exact region sums.  For CARL_SP, CARL_RECT_A, CARL_RECT_B,
+MAXIMAL_NONADM, INTERP_FAIL and AP_INTERP_FAIL, `generate` also
+materializes the small-N data on a lattice so the closed forms can be
+cross-checked with the generic machinery; the other cases are measured
+in closed form only.
 
 Cases
 -----
@@ -231,13 +233,6 @@ def _lq(vals, q):
     return sum(v ** q for v in vals) ** (1.0 / q)
 
 
-def _geom(r, lo, hi):
-    """sum_{j=lo}^{hi} r^j for r > 0."""
-    if r == 1.0:
-        return float(hi - lo + 1)
-    return (r ** lo - r ** (hi + 1)) / (1.0 - r)
-
-
 # ----------------------------------------------------------------------
 # measurement engines (exact region sums)
 
@@ -364,11 +359,6 @@ def _m_equiv_sub_tau(params, N):
     den = max([1.0] + [2.0 ** (-i * n * tau) * min(i, N) ** (1 / p)
                        for i in range(1, 4 * N + 4)])
     return num, den
-
-
-def _crit_sizes(a, N):
-    """Cube counts m_j ~ 2^j j^-a per level (at least one each)."""
-    return [max(1, int(2 ** j * j ** -a)) for j in range(1, N + 1)]
 
 
 def _m_equiv_sub_crit(params, N):
@@ -628,40 +618,6 @@ def _g_maximal_nonadm(params, N):
     return {"window": w, "fields": fields, "pi": Permutation.tl(1)}
 
 
-def _g_mixed_perm_com(params, N):
-    """Interval data for the commutation failure (exact measures; the
-    comb sets are kept as (start, width) lists with width 1/N)."""
-    from fractions import Fraction
-    s = params["s"]
-    combs = {}
-    for i in range(1, N + 1):
-        step = Fraction(1, 2 ** N)
-        width = Fraction(1, N * 2 ** N)
-        combs[i] = [(l * step + (i - 1) * width, width)
-                    for l in range(2 ** N)]
-    return {"combs": combs, "gamma_value": N ** (1 / s),
-            "stripes": {j: (j, j + 1) for j in range(1, N + 1)}}
-
-
-def _g_equiv_sub_tau(params, N):
-    """Corner cubes: Q_kappa = [2^kappa - 1, 2^kappa)^n."""
-    n = params.get("n", 1)
-    return {"cubes": [tuple((2 ** k - 1, 2 ** k) for _ in range(n))
-                      for k in range(1, N + 1)]}
-
-
-def _g_equiv_sub_crit(params, N):
-    """Level assignment: m_j corner cubes shrunk to side 2^-j."""
-    m = _crit_sizes(params["a"], N)
-    cubes, kappa = [], 1
-    for j, mj in enumerate(m, start=1):
-        for _ in range(mj):
-            lo = 2 ** kappa - 2 ** -j
-            cubes.append((j, kappa, (lo, 2 ** kappa)))
-            kappa += 1
-    return {"cubes": cubes, "sizes": m}
-
-
 def _g_interp_fail(params, J):
     s0 = np.atleast_1d(np.asarray(params["s0"], float))
     s1 = np.atleast_1d(np.asarray(params["s1"], float))
@@ -684,59 +640,22 @@ def _g_ap_interp_fail(params, J):
             "endpoint1": V1}
 
 
-def _g_carl_open_multi(params, N):
-    """Explicit packing family with the overlap split, for tiny N: quilt
-    rectangles plus the per-overlap-count measure assignment."""
-    from .quilts import (enumerate_distribution, quilt_refine, unit_quilt)
-    u = params["p"] / params["s"]
-    q = unit_quilt()
-    for _ in range(4):
-        sigma = float(enumerate_distribution(q).p_pos)
-        mom = sum(float(k) ** u * float(pr)
-                  for k, pr in enumerate_distribution(q).probs.items()
-                  if k != 0)
-        if sigma < 1.0 / N and mom / sigma > N ** u:
-            return {"quilt": q, "law": enumerate_distribution(q),
-                    "value_at_overlap": {
-                        int(k): float(k) ** (1 / params["s"])
-                        for k in enumerate_distribution(q).probs
-                        if k != 0}}
-        q = quilt_refine(q)
-    raise ValueError("explicit realization only for N small enough that "
-                     "four refinement generations suffice")
-
-
-def _g_mixed_perm_gamma(params, N):
-    t, d = _gamma_defaults(params)
-    from scipy.special import zeta
-    z = float(zeta(t))
-    S = np.cumsum([j ** -t for j in range(1, N + 1)])
-    blocks = {j: ((S[j - 2] if j > 1 else 0.0) / z, S[j - 1] / z)
-              for j in range(1, N + 1)}
-    return {"t": t, "d": d, "zeta": z, "x_blocks": blocks,
-            "gamma_values": {j: (j ** t * z) ** (1 / params["s"])
-                             for j in range(1, N + 1)},
-            "f_values": {j: j ** (-d / params["p"])
-                         for j in range(1, N + 1)}}
-
-
 _GENERATORS = {
     "CARL_SP": _g_carl_sp,
     "CARL_RECT_A": _g_carl_rect_a,
     "CARL_RECT_B": _g_carl_sp,
-    "CARL_OPEN_MULTI": _g_carl_open_multi,
-    "MIXED_PERM_GAMMA": _g_mixed_perm_gamma,
-    "MIXED_PERM_COM": _g_mixed_perm_com,
     "MAXIMAL_NONADM": _g_maximal_nonadm,
-    "EQUIV_SUB_TAU": _g_equiv_sub_tau,
-    "EQUIV_SUB_CRIT": _g_equiv_sub_crit,
     "INTERP_FAIL": _g_interp_fail,
     "AP_INTERP_FAIL": _g_ap_interp_fail,
 }
 
 
 def generate(spec: CaseSpec) -> dict:
-    """Materialize the case data at the spec's own size N.  Lattice
-    cases return a window plus per-level grids; continuum cases return
-    exact interval descriptions."""
+    """Materialize the case data at the spec's own size N: a window plus
+    per-level grids (CARL_SP, CARL_RECT_A, CARL_RECT_B, MAXIMAL_NONADM),
+    the coefficient array over |j|_inf <= N (INTERP_FAIL), or the weights
+    on [0, 2^N) (AP_INTERP_FAIL).  Other cases raise ValueError."""
+    if spec.case not in _GENERATORS:
+        raise ValueError(f"{spec.case} has no lattice realization; "
+                         f"generate covers {', '.join(_GENERATORS)}")
     return _GENERATORS[spec.case](spec.params, spec.N)

@@ -16,8 +16,8 @@ import numpy as np
 
 __all__ = [
     "AxisSpec", "DyadicRect", "GeneralRect", "Window", "OpenSet",
-    "PiecewiseField", "rect_measure", "dilate", "open_restrict",
-    "integrate_over", "block_reduce", "level_mask", "expand_mask",
+    "PiecewiseField", "dilate", "open_restrict", "integrate_over",
+    "block_reduce", "block_lp", "level_mask", "expand_mask",
 ]
 
 
@@ -106,11 +106,6 @@ class DyadicRect:
         offs = [list(m) for m in self.offsets]
         offs[i] = [m // 2 for m in self.offsets[i]]
         return DyadicRect(self.axes, tuple(levels), tuple(tuple(m) for m in offs))
-
-
-def rect_measure(R: DyadicRect) -> Fraction:
-    """Exact measure 2^{-j.n} of a dyadic rectangle."""
-    return R.measure
 
 
 @dataclass(frozen=True)
@@ -236,6 +231,12 @@ class Window:
                 pos += n
             yield idx, DyadicRect(self.axes, tuple(j), tuple(offs))
 
+    def rects(self):
+        """Iterate over every dyadic rectangle inside, level by level."""
+        for j in self.levels():
+            for _, R in self.rects_at_level(j):
+                yield R
+
     def rect_slices(self, R: DyadicRect) -> tuple[slice, ...]:
         """Grid slices covered by a dyadic rectangle contained in the window."""
         if any(j < b or j > m for j, b, m in
@@ -274,6 +275,16 @@ def block_reduce(arr: np.ndarray, factors: tuple[int, ...], func) -> np.ndarray:
     view = arr.reshape(newshape)
     axes = tuple(2 * ax + 1 for ax in range(d))
     return func(view, axis=axes)
+
+
+def block_lp(window: Window, g: np.ndarray, j: tuple[int, ...],
+             p: float) -> np.ndarray:
+    """Normalized L^p norms of a scalar grid over every level-j rectangle,
+    on the coarse level-j grid; p may be inf (the block maximum)."""
+    factors = window.block_factors(j)
+    if p == np.inf:
+        return block_reduce(g, factors, np.max)
+    return block_reduce(g ** p, factors, np.mean) ** (1.0 / p)
 
 
 @dataclass

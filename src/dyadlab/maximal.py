@@ -8,20 +8,17 @@ window lattice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PiecewiseField, Window, block_reduce
+from .geometry import PiecewiseField, block_lp, expand_mask
 from .weights import MatrixWeight, _unit_dirs, mvee, spd_power
 
 __all__ = [
     "MaximalResult", "avg_field", "strong_maximal", "axis_maximal",
     "weighted_maximal", "reducing_maximal", "operator_norm_estimate",
 ]
-
-INF = math.inf
-
 
 @dataclass
 class MaximalResult:
@@ -34,31 +31,8 @@ def avg_field(f: PiecewiseField, j: tuple, p: float = 1.0) -> PiecewiseField:
     """Local averaging: constant on each level-j rectangle, equal to the
     normalized L^p norm of f there."""
     w = f.window
-    g = f.magnitude()
-    factors = w.block_factors(j)
-    if p == INF:
-        coarse = block_reduce(g, factors, np.max)
-    else:
-        coarse = block_reduce(g ** p, factors, np.mean) ** (1.0 / p)
-    return PiecewiseField(w, _expand_float(w, coarse, j))
-
-
-def _expand_float(window: Window, coarse: np.ndarray, j: tuple) -> np.ndarray:
-    out = coarse
-    for axis, f in enumerate(window.block_factors(j)):
-        out = np.repeat(out, f, axis=axis)
-    return out
-
-
-def _level_averages(g: np.ndarray, window: Window, p: float):
-    """Expanded level-by-level averages of a scalar grid."""
-    for j in window.levels():
-        factors = window.block_factors(j)
-        if p == INF:
-            coarse = block_reduce(g, factors, np.max)
-        else:
-            coarse = block_reduce(g ** p, factors, np.mean) ** (1.0 / p)
-        yield j, _expand_float(window, coarse, j)
+    coarse = block_lp(w, f.magnitude(), j, p)
+    return PiecewiseField(w, expand_mask(w, coarse, j))
 
 
 def strong_maximal(f: PiecewiseField, p: float = 1.0) -> MaximalResult:
@@ -67,8 +41,8 @@ def strong_maximal(f: PiecewiseField, p: float = 1.0) -> MaximalResult:
     w = f.window
     g = f.magnitude()
     out = np.zeros(w.shape)
-    for _, e in _level_averages(g, w, p):
-        np.maximum(out, e, out=out)
+    for j in w.levels():
+        np.maximum(out, expand_mask(w, block_lp(w, g, j, p), j), out=out)
     return MaximalResult(PiecewiseField(w, out), "strong")
 
 
@@ -80,12 +54,7 @@ def axis_maximal(f: PiecewiseField, i: int, p: float = 1.0) -> MaximalResult:
     out = np.zeros(w.shape)
     for ji in range(w.bounds.levels[i], w.j_max[i] + 1):
         j = tuple(ji if a == i else w.j_max[a] for a in range(w.axes.k))
-        factors = w.block_factors(j)
-        if p == INF:
-            coarse = block_reduce(g, factors, np.max)
-        else:
-            coarse = block_reduce(g ** p, factors, np.mean) ** (1.0 / p)
-        np.maximum(out, _expand_float(w, coarse, j), out=out)
+        np.maximum(out, expand_mask(w, block_lp(w, g, j, p), j), out=out)
     return MaximalResult(PiecewiseField(w, out), f"axis-{i}")
 
 
@@ -106,13 +75,12 @@ def weighted_maximal(V: MatrixWeight, f: PiecewiseField,
     T = np.linalg.norm(np.einsum("xab,yb->xya", Vx, h), axis=-1)
     out = np.zeros(C)
     cell_index = np.arange(C).reshape(w.shape)
-    for j in w.levels():
-        for _, R in w.rects_at_level(j):
-            sl = w.rect_slices(R)
-            idx = cell_index[sl].reshape(-1)
-            block = T[np.ix_(idx, idx)]
-            vals = (block ** v).mean(axis=1) ** (1.0 / v)
-            out[idx] = np.maximum(out[idx], vals)
+    for R in w.rects():
+        sl = w.rect_slices(R)
+        idx = cell_index[sl].reshape(-1)
+        block = T[np.ix_(idx, idx)]
+        vals = (block ** v).mean(axis=1) ** (1.0 / v)
+        out[idx] = np.maximum(out[idx], vals)
     return MaximalResult(PiecewiseField(w, out.reshape(w.shape)), "weighted")
 
 

@@ -153,7 +153,7 @@ def _unit_dirs(m: int, n: int, rng) -> np.ndarray:
 
 
 def reduce_general(V: MatrixWeight, R, p: float, n_dirs: int = None,
-                   rng=None, tol: float = 1e-8):
+                   rng=None):
     """Ellipsoid-fitted reducing operator of order p, with a measured
     sandwich certificate (c_lo, c_hi) on fresh directions.
 
@@ -178,7 +178,7 @@ def reduce_general(V: MatrixWeight, R, p: float, n_dirs: int = None,
     if p < 1:
         # quasi-norm ball: compare through its convex hull
         pts = pts * (2 * m + 1) ** (1.0 - 1.0 / p)
-    A = spd_power(mvee(pts, tol=tol), 0.5)
+    A = spd_power(mvee(pts), 0.5)
     fresh = np.concatenate([np.eye(m), _unit_dirs(m, 200, rng)])
     rf = lp_seminorm(V, R, p, fresh)
     Af = np.linalg.norm(fresh @ A.T, axis=1)
@@ -210,9 +210,10 @@ class ReducingFamily:
 
 
 def reducing_family(V: MatrixWeight, levels, p: float = 2.0,
-                    method: str = None, rng=None) -> ReducingFamily:
-    if method is None:
-        method = "exact-p2" if p == 2 else "ellipsoid"
+                    rng=None) -> ReducingFamily:
+    """Reducing operators of order p for every rectangle at the given
+    levels: exact when p = 2, ellipsoid-fitted with certificates otherwise."""
+    method = "exact-p2" if p == 2 else "ellipsoid"
     mats, certs = {}, {}
     for j in levels:
         for _, R in V.window.rects_at_level(j):
@@ -274,8 +275,7 @@ def ap_constant(V: MatrixWeight, p: float, pairs, q: float = None) -> ApReport:
 
 def diag_pairs(window: Window):
     """(R, R) over every dyadic rectangle of the window."""
-    return [(R, R) for j in window.levels()
-            for _, R in window.rects_at_level(j)]
+    return [(R, R) for R in window.rects()]
 
 
 def ap_dilated_constant(V: MatrixWeight, p: float, j: tuple) -> ApReport:
@@ -285,23 +285,22 @@ def ap_dilated_constant(V: MatrixWeight, p: float, j: tuple) -> ApReport:
     wb = GeneralRect.from_dyadic(window.bounds)
     best, wit, clipped = -INF, None, False
     from .geometry import dilate
-    for lev in window.levels():
-        for _, R in window.rects_at_level(lev):
-            D = dilate(R, j)
-            ivs = []
-            for (lo, hi), (wlo, whi) in zip(D.intervals(), wb.intervals()):
-                lo2, hi2 = max(lo, wlo), min(hi, whi)
-                if lo2 != lo or hi2 != hi:
-                    clipped = True
-                if lo2 >= hi2:
-                    ivs = None
-                    break
-                ivs.append((lo2, hi2))
-            if ivs is None:
-                continue
-            c = _pair_norm(V, R, GeneralRect(window.axes, tuple(ivs)), p)
-            if c > best:
-                best, wit = c, (R, j)
+    for R in window.rects():
+        D = dilate(R, j)
+        ivs = []
+        for (lo, hi), (wlo, whi) in zip(D.intervals(), wb.intervals()):
+            lo2, hi2 = max(lo, wlo), min(hi, whi)
+            if lo2 != lo or hi2 != hi:
+                clipped = True
+            if lo2 >= hi2:
+                ivs = None
+                break
+            ivs.append((lo2, hi2))
+        if ivs is None:
+            continue
+        c = _pair_norm(V, R, GeneralRect(window.axes, tuple(ivs)), p)
+        if c > best:
+            best, wit = c, (R, j)
     if wit is None:
         raise ValueError("all dilated rectangles escape the window")
     tag = "Rect2_dilated" + ("_clipped" if clipped else "")
@@ -381,16 +380,11 @@ def doubling_check(fam: ReducingFamily, *, strong=None, weak=None) -> float:
                 for i in range(P.axes.k):
                     lP, lR = float(P.side(i)), float(R.side(i))
                     bound *= max((lR / lP) ** a[i], (lP / lR) ** b[i])
-                    off = max(abs(float(x - y)) for x, y in zip(
-                        cP[slice(*_prange(P, i))], cR[slice(*_prange(P, i))]))
+                    cs = P.axes.param_coords(i)
+                    off = max(abs(float(cP[c] - cR[c])) for c in cs)
                     bound *= (1.0 + off / max(lP, lR)) ** cc[i]
             worst = max(worst, val / bound)
     return worst
-
-
-def _prange(R: DyadicRect, i: int):
-    lo = sum(R.axes.dims[:i])
-    return lo, lo + R.axes.dims[i]
 
 
 def rhi_constant(V: MatrixWeight, p: float, s: float, rects,

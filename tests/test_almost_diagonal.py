@@ -6,7 +6,7 @@ import pytest
 
 from dyadlab.almost_diagonal import (ADParams, ad_entry, apply_ad,
                                      composition_constant, empirical_norm,
-                                     lift, necessity_curve, random_coeff_seq,
+                                     necessity_curve, random_coeff_seq,
                                      sufficiency_check)
 from dyadlab.geometry import AxisSpec, DyadicRect, Window
 from dyadlab.mixed_norms import CoeffSeq, NormSpec, Permutation
@@ -129,7 +129,7 @@ class TestApply:
 class TestLift:
     def test_roundtrip(self, w1, rng):
         t = random_coeff_seq(w1, rng)
-        back = lift(lift(t, (0.7,)), (-0.7,))
+        back = t.lift((0.7,)).lift((-0.7,))
         for R, v in t.data.items():
             assert np.allclose(v, back.data[R])
 

@@ -94,6 +94,9 @@ class TestDeterminism:
         fa = (a / "norms_results.json").read_bytes()
         fb = (b / "norms_results.json").read_bytes()
         assert fa == fb
+        ha, hb = (_read(d / "manifest_norms.json")["config_hash"]
+                  for d in (a, b))
+        assert ha == hb
 
     def test_config_file_merges(self, tmp_path):
         cfgp = tmp_path / "cfg.json"

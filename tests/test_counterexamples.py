@@ -12,11 +12,14 @@ from dyadlab.counterexamples import (CASES, CaseSpec, RatioCurve,
 from dyadlab.maximal import strong_maximal
 from dyadlab.mixed_norms import Permutation, iterated_norm
 from dyadlab.geometry import PiecewiseField
+from dyadlab.weights import ap_constant, diag_pairs, geometric_mean
 
 INF = math.inf
 
 SP = {"p": 1.0, "q": 0.5, "s": 1.0}
 RECT_A = {"p": 0.5, "q": 1.0, "s": 2.0}
+INTERP = {"s0": (0.0, 0.0), "s1": (1.0, 1.0), "theta": 0.5, "q": 2.0}
+AP_INTERP = {"p0": 2 / 3, "p1": 4.0, "theta": 0.5, "alpha": 2.5}
 
 
 class TestValidation:
@@ -179,6 +182,48 @@ class TestLatticeCrossChecks:
         (_, cnum, cden), = measure(spec, [N]).points
         assert num == pytest.approx(cnum, rel=1e-12)
         assert cden == 1.0
+
+    def test_interp_fail_norms_match_closed_form(self):
+        J = 4
+        spec = CaseSpec("INTERP_FAIL", INTERP, N=J)
+        data = generate(spec)
+        a = data["coeffs"]
+        grids = np.meshgrid(*[np.arange(-J, J + 1)] * a.ndim, indexing="ij")
+
+        def scaled(s):
+            return a * 2.0 ** sum(g * x for g, x in zip(grids, s))
+
+        theta, q = INTERP["theta"], INTERP["q"]
+        s0, s1 = np.array(INTERP["s0"]), np.array(INTERP["s1"])
+        mid = scaled((1 - theta) * s0 + theta * s1)
+        num = float((mid ** q).sum() ** (1 / q))
+        (_, cnum, cden), = measure(spec, [J]).points
+        assert num == pytest.approx(cnum, rel=1e-12)
+        assert scaled(s0).max() == scaled(s1).max() == cden == 1.0
+
+    @pytest.mark.parametrize("J", [2, 3, 4, 5])
+    def test_ap_interp_fail_weight_matches_closed_form(self, J):
+        spec = CaseSpec("AP_INTERP_FAIL", AP_INTERP, N=J)
+        data = generate(spec)
+        V, V1 = data["geometric_mean"], data["endpoint1"]
+        theta = AP_INTERP["theta"]
+        for G, B in zip(V.field.values, V1.field.values):
+            want = geometric_mean(np.eye(1), B, theta)
+            assert np.abs(G - want).max() <= 1e-12
+        p = 1 / ((1 - theta) / AP_INTERP["p0"] + theta / AP_INTERP["p1"])
+        got = ap_constant(V, p, diag_pairs(data["window"])).constant
+        (_, cnum, _), = measure(spec, [J]).points
+        assert got == cnum
+
+    @pytest.mark.parametrize("case,params", [
+        ("CARL_OPEN_MULTI", {"p": 1.0, "q": 4.0, "s": 2.0}),
+        ("MIXED_PERM_GAMMA", {"p": 1.0, "q1": 1.0, "q2": 4.0, "s": 2.0}),
+        ("MIXED_PERM_COM", {"p": 1.0, "qb": 4.0, "s": 2.0}),
+        ("EQUIV_SUB_TAU", {"p": 1.0, "tau": 0.25}),
+        ("EQUIV_SUB_CRIT", {"p": 2.0, "q": 1.0, "a": 1.5})])
+    def test_cases_without_lattice_data_refuse(self, case, params):
+        with pytest.raises(ValueError, match="no lattice realization"):
+            generate(CaseSpec(case, params, N=2))
 
 
 class TestMeasuredCurves:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.geometry import (AxisSpec, DyadicRect, OpenSet,
-                              PiecewiseField, Window, dilate,
+                              PiecewiseField, Window, block_lp, dilate,
                               integrate_over, level_mask)
 
 
@@ -102,6 +102,22 @@ class TestLocalAverage:
         assert integrate_over(f, None, p) == pytest.approx(c)
 
 
+class TestBlockLp:
+    @pytest.mark.parametrize("dims,j_max", [((1,), (3,)), ((1, 1), (2, 2)),
+                                            ((2, 1), (1, 2))])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, math.inf])
+    def test_matches_integrate_over(self, rng, dims, j_max, p):
+        w = Window.unit(AxisSpec(dims), j_max)
+        g = 2.0 ** rng.uniform(-2, 2, w.shape)
+        f = PiecewiseField(w, g)
+        for j in w.levels():
+            coarse = block_lp(w, g, j, p)
+            assert coarse.shape == w.coarse_shape(j)
+            for idx, R in w.rects_at_level(j):
+                assert coarse[idx] == pytest.approx(integrate_over(f, R, p),
+                                                    rel=1e-12)
+
+
 class TestWindow:
     def test_levels_and_cells(self, w2):
         assert w2.shape == (4, 4)
@@ -110,3 +126,8 @@ class TestWindow:
 
     def test_rects_at_level_count(self, w2):
         assert len(list(w2.rects_at_level((1, 2)))) == 2 * 4
+
+    def test_rects_walks_every_level(self, w2):
+        want = [R for j in w2.levels() for _, R in w2.rects_at_level(j)]
+        assert list(w2.rects()) == want
+        assert len(set(want)) == len(want) == 7 * 7
