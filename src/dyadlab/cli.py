@@ -3,8 +3,8 @@ standard checks, writes JSON verdicts plus CSV curves, and drops a
 reproducibility manifest (config, config hash, version, wall clock,
 per-check pass/fail).  The hash leaves out where files go (``out``,
 ``results_dir``, ``config``), so identical inputs give the same hash and
-bit-identical result and CSV files in any directory.  Manifests, and the
-report that copies them, also record the output path and wall clock.
+bit-identical result and CSV files in any directory.  Manifests also
+record the output path and wall clock; the report keeps neither.
 
 Subcommands: quilt, sigma, norms, weights, maximal, carleson, ad,
 counterexample, report.
@@ -363,7 +363,8 @@ def cmd_report(args):
     for name in manifests:
         with open(os.path.join(src, name)) as fh:
             man = json.load(fh)
-        combined[man["command"]] = man
+        combined[man["command"]] = {k: man[k] for k in (
+            "command", "config_hash", "version", "checks")}
         for check, ok in man["checks"].items():
             rows.append((man["command"], check, int(ok)))
             checks[f"{man['command']}.{check}"] = ok

@@ -9,6 +9,7 @@ constant on the window's base cells.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ import numpy as np
 __all__ = [
     "AxisSpec", "DyadicRect", "GeneralRect", "Window", "OpenSet",
     "PiecewiseField", "dilate", "open_restrict", "integrate_over",
-    "block_reduce", "block_lp", "level_mask", "expand_mask",
+    "block_reduce", "block_lp", "level_mask", "expand_mask", "rect_arrays",
 ]
 
 
@@ -133,6 +134,27 @@ class GeneralRect:
     @classmethod
     def from_dyadic(cls, R: DyadicRect) -> "GeneralRect":
         return cls(R.axes, tuple(R.intervals()))
+
+
+# a list of dyadic rectangles as arrays, one row each (see rect_arrays)
+RectArrays = namedtuple("RectArrays", "axes levels offsets sides centers")
+
+
+def rect_arrays(axes: AxisSpec, rects) -> RectArrays:
+    """Integer levels j (R, k) and offsets m (R, n), float sides 2^-j
+    (R, k) and centres (m + 1/2) 2^-j (R, n) of the rectangles.  The floats
+    are exact dyadic rationals: a ValueError is raised when an offset or a
+    level is too large for that."""
+    rects = list(rects)
+    levels = np.array([R.levels for R in rects], np.int64).reshape(-1, axes.k)
+    offsets = np.array([sum(R.offsets, ()) for R in rects],
+                       dtype=float).reshape(-1, axes.total_dim)
+    if np.any(np.abs(offsets) >= 2.0 ** 52) or np.any(np.abs(levels) > 900):
+        raise ValueError("rectangle too large for exact float centres")
+    coord_levels = levels[:, axes.coord_param()]
+    return RectArrays(axes, levels, offsets.astype(np.int64),
+                      np.ldexp(1.0, -levels),
+                      np.ldexp(2.0 * offsets + 1.0, -coord_levels - 1))
 
 
 def dilate(R: DyadicRect, j: tuple[int, ...]) -> GeneralRect:

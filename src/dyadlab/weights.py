@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (DyadicRect, GeneralRect, PiecewiseField, Window,
-                       _overlap_weights)
+                       _overlap_weights, rect_arrays)
 
 __all__ = [
     "MatrixWeight", "ReducingFamily", "ApReport", "ApDimFit",
@@ -360,31 +360,30 @@ def doubling_check(fam: ReducingFamily, *, strong=None, weak=None) -> float:
     if (strong is None) == (weak is None):
         raise ValueError("give exactly one of strong=, weak=")
     rects = list(fam.matrices)
-    worst = 0.0
-    for R in rects:
-        Ainv = np.linalg.inv(fam.matrices[R])
-        for P in rects:
-            if weak is not None and P.levels != R.levels:
-                continue
-            val = op_norm(fam.matrices[P] @ Ainv)
-            cP, cR = P.center, R.center
-            if weak is not None:
-                dist2 = 0.0
-                for c in range(P.axes.total_dim):
-                    i = P.axes.coord_param()[c]
-                    dist2 += float((cP[c] - cR[c]) * 2 ** P.levels[i]) ** 2
-                bound = (1.0 + math.sqrt(dist2)) ** weak
-            else:
-                a, b, cc = strong
-                bound = 1.0
-                for i in range(P.axes.k):
-                    lP, lR = float(P.side(i)), float(R.side(i))
-                    bound *= max((lR / lP) ** a[i], (lP / lR) ** b[i])
-                    cs = P.axes.param_coords(i)
-                    off = max(abs(float(cP[c] - cR[c])) for c in cs)
-                    bound *= (1.0 + off / max(lP, lR)) ** cc[i]
-            worst = max(worst, val / bound)
-    return worst
+    if not rects:
+        return 0.0
+    arr = rect_arrays(rects[0].axes, rects)
+    if weak is not None:
+        iP, iR = np.nonzero((arr.levels[:, None] == arr.levels[None]).all(-1))
+    else:
+        iP, iR = np.indices((len(rects), len(rects))).reshape(2, -1)
+    A = np.array(list(fam.matrices.values()))
+    val = op_norm(A[iP] @ np.linalg.inv(A)[iR])
+    lP, lR = arr.sides[iP], arr.sides[iR]
+    off = np.abs(arr.centers[iP] - arr.centers[iR])
+    if weak is not None:
+        scaled = off / lP[:, arr.axes.coord_param()]
+        bound = (1.0 + np.sqrt(np.sum(scaled ** 2, axis=1))) ** weak
+    else:
+        a, b, cc = strong
+        bound = np.ones(len(iP))
+        for i in range(arr.axes.k):
+            cs = arr.axes.param_coords(i)
+            bound *= np.maximum((lR[:, i] / lP[:, i]) ** a[i],
+                                (lP[:, i] / lR[:, i]) ** b[i])
+            bound *= (1.0 + np.max(off[:, cs.start:cs.stop], axis=1)
+                      / np.maximum(lP[:, i], lR[:, i])) ** cc[i]
+    return float(np.max(val / bound))
 
 
 def rhi_constant(V: MatrixWeight, p: float, s: float, rects,

@@ -4,14 +4,80 @@ import math
 import numpy as np
 import pytest
 
-from dyadlab.almost_diagonal import (ADParams, ad_entry, apply_ad,
+from dyadlab import almost_diagonal
+from dyadlab.almost_diagonal import (ADParams, _kernel, ad_entry, apply_ad,
                                      composition_constant, empirical_norm,
                                      necessity_curve, random_coeff_seq,
                                      sufficiency_check)
-from dyadlab.geometry import AxisSpec, DyadicRect, Window
+from dyadlab.geometry import AxisSpec, DyadicRect, Window, rect_arrays
 from dyadlab.mixed_norms import CoeffSeq, NormSpec, Permutation
+from dyadlab.weights import doubling_check, random_spd_field, reducing_family
 
 INF = math.inf
+
+
+# -- the per-pair loops the dense kernel blocks replaced, kept as oracles
+
+def _too_far(P, R, dist_radius):
+    cP, cR = P.center, R.center
+    lo = 0
+    for i in range(P.axes.k):
+        hi = lo + P.axes.dims[i]
+        scale = max(float(P.side(i)), float(R.side(i)))
+        d = max(abs(float(a - b)) for a, b in zip(cP[lo:hi], cR[lo:hi]))
+        if d > dist_radius * scale:
+            return True
+        lo = hi
+    return False
+
+
+def _pruned(P, R, level_radius, dist_radius):
+    return any(abs(a - b) > level_radius
+               for a, b in zip(P.levels, R.levels)) \
+        or _too_far(P, R, dist_radius)
+
+
+def _apply_ad_loop(params, t, window, level_radius=6, dist_radius=64.0):
+    support = list(t.data.items())
+    out = {}
+    for P in window.rects():
+        acc = 0.0
+        for R, v in support:
+            if _pruned(P, R, level_radius, dist_radius):
+                continue
+            acc = acc + ad_entry(P, R, params) * v
+        if np.any(acc != 0.0):
+            out[P] = acc
+    return out
+
+
+def _composition_loop(pa, pb, window):
+    comp = ADParams(tuple(map(min, pa.D, pb.D)),
+                    tuple(map(min, pa.E, pb.E)),
+                    tuple(map(min, pa.F, pb.F)),
+                    pa.const * pb.const)
+    rects = list(window.rects())
+    # entries tabulated once, so the O(R^3) sum below stays quick
+    a = {(P, Q): ad_entry(P, Q, pa) for P in rects for Q in rects}
+    b = {(Q, R): ad_entry(Q, R, pb) for Q in rects for R in rects}
+    worst = 0.0
+    for P in rects:
+        for R in rects:
+            s = sum(a[P, Q] * b[Q, R] for Q in rects)
+            worst = max(worst, s / ad_entry(P, R, comp))
+    return worst
+
+
+ORACLE_WINDOWS = {
+    "1param_J3": Window.unit(AxisSpec((1,)), (3,)),
+    "2param_J22": Window.unit(AxisSpec((1, 1)), (2, 2)),
+    "dims21_J21": Window.unit(AxisSpec((2, 1)), (2, 1)),
+}
+
+
+def _oracle_params(k):
+    return ADParams((3.0, 2.5)[:k], (2.0, 1.5)[:k], (1.0, 2.5)[:k],
+                    const=1.3)
 
 
 class TestEntry:
@@ -166,3 +232,75 @@ class TestNecessity:
         rs = [r for _, r in pts]
         assert slope > 0
         assert rs[0] < rs[1] < rs[2]
+
+
+class TestDenseOracle:
+    """The dense kernel blocks against the per-pair loops, with m = 2
+    coefficients and a truncation that prunes pairs."""
+    LEVEL_RADIUS, DIST_RADIUS = 1, 1.0
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
+    def test_apply_ad_matches_loop(self, name):
+        w = ORACLE_WINDOWS[name]
+        par = _oracle_params(w.axes.k)
+        t = random_coeff_seq(w, np.random.default_rng(5), m=2)
+        with np.errstate(all="raise"):
+            bt, tail = apply_ad(par, t, w, self.LEVEL_RADIUS,
+                                self.DIST_RADIUS)
+            want = _apply_ad_loop(par, t, w, self.LEVEL_RADIUS,
+                                  self.DIST_RADIUS)
+        assert bt.data.keys() == want.keys()
+        for P, v in want.items():
+            assert np.allclose(bt.data[P], v, rtol=1e-12, atol=0.0)
+        assert tail > 0
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
+    def test_kernel_entries_match_ad_entry(self, name):
+        w = ORACLE_WINDOWS[name]
+        par = _oracle_params(w.axes.k)
+        rects = list(w.rects())
+        arr = rect_arrays(w.axes, rects)
+        with np.errstate(all="raise"):
+            full = _kernel(par, arr, arr)
+            cut = _kernel(par, arr, arr, self.LEVEL_RADIUS, self.DIST_RADIUS)
+        pruned = 0
+        for a, P in enumerate(rects):
+            for b, R in enumerate(rects):
+                want = ad_entry(P, R, par)
+                assert full[a, b] == pytest.approx(want, rel=1e-12, abs=0)
+                if _pruned(P, R, self.LEVEL_RADIUS, self.DIST_RADIUS):
+                    pruned += 1
+                    assert cut[a, b] == 0.0
+                else:
+                    assert cut[a, b] == full[a, b]
+        assert 0 < pruned < len(rects) ** 2
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_WINDOWS))
+    def test_composition_matches_loop(self, name):
+        w = ORACLE_WINDOWS[name]
+        k = w.axes.k
+        pa = _oracle_params(k)
+        pb = ADParams((2.5, 3.0)[:k], (1.5, 2.5)[:k], (2.0, 1.0)[:k])
+        with np.errstate(all="raise"):
+            got = composition_constant(pa, pb, w)
+            want = _composition_loop(pa, pb, w)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestNoScalarHotPath:
+    def test_hot_paths_skip_ad_entry(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ad_entry called on a hot path")
+        monkeypatch.setattr(almost_diagonal, "ad_entry", refuse)
+        w = Window.unit(AxisSpec((1, 1)), (1, 1))
+        par = ADParams((3.0, 3.0), (2.0, 2.0), (2.0, 2.0))
+        t = random_coeff_seq(w, np.random.default_rng(0))
+        apply_ad(par, t, w)
+        composition_constant(par, par, w)
+        spec = NormSpec((0.0, 0.0), 0.0, (2.0, 2.0), (2.0, 2.0),
+                        Permutation.besov(2))
+        empirical_norm(par, spec, [w], trials=2)
+        for kind in "DEF":
+            necessity_curve(kind, [1, 2])
+        V = random_spd_field(w, 2, np.random.default_rng(0))
+        doubling_check(reducing_family(V, list(w.levels())), weak=1.0)

@@ -98,6 +98,15 @@ class TestDeterminism:
                   for d in (a, b))
         assert ha == hb
 
+    def test_report_bit_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert main(["sigma", "--n", "500", "--out", str(out)]) == 0
+            assert main(["report", "--out", str(out)]) == 0
+        fa = (a / "report_results.json").read_bytes()
+        fb = (b / "report_results.json").read_bytes()
+        assert fa == fb
+
     def test_config_file_merges(self, tmp_path):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"n": 500}))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dyadlab.geometry import (AxisSpec, DyadicRect, OpenSet,
                               PiecewiseField, Window, block_lp, dilate,
-                              integrate_over, level_mask)
+                              integrate_over, level_mask, rect_arrays)
 
 
 class TestMeasure:
@@ -131,3 +131,29 @@ class TestWindow:
         want = [R for j in w2.levels() for _, R in w2.rects_at_level(j)]
         assert list(w2.rects()) == want
         assert len(set(want)) == len(want) == 7 * 7
+
+
+class TestRectArrays:
+    def test_exact_sides_and_centers(self):
+        w = Window(DyadicRect(AxisSpec((2, 1)), (-1, 0), ((-1, 3), (2,))),
+                   (1, 2))
+        rects = list(w.rects())
+        arr = rect_arrays(w.axes, rects)
+        assert arr.levels.shape == (len(rects), 2)
+        assert arr.offsets.shape == arr.centers.shape == (len(rects), 3)
+        for row, R in enumerate(rects):
+            assert list(arr.levels[row]) == list(R.levels)
+            assert list(arr.offsets[row]) == [m for o in R.offsets for m in o]
+            assert [Fraction(x) for x in arr.centers[row]] == R.center
+            assert [Fraction(x) for x in arr.sides[row]] == \
+                [R.side(i) for i in range(2)]
+
+    def test_empty_list(self, axes2):
+        arr = rect_arrays(axes2, [])
+        assert arr.centers.shape == (0, 2) and arr.sides.shape == (0, 2)
+
+    @pytest.mark.parametrize("levels, off", [
+        ((0,), (1 << 52,)), ((0,), (-(1 << 60),)), ((1000,), (0,))])
+    def test_inexact_centre_refused(self, axes1, levels, off):
+        with pytest.raises(ValueError):
+            rect_arrays(axes1, [DyadicRect(axes1, levels, (off,))])

@@ -195,7 +195,48 @@ class TestDilated:
         assert fit.d[0] > 0.0
 
 
+def _doubling_loop(fam, strong=None, weak=None):
+    """The per-pair Fraction loop doubling_check replaced (oracle)."""
+    rects = list(fam.matrices)
+    worst = 0.0
+    for R in rects:
+        Ainv = np.linalg.inv(fam.matrices[R])
+        for P in rects:
+            if weak is not None and P.levels != R.levels:
+                continue
+            val = np.linalg.norm(fam.matrices[P] @ Ainv, ord=2)
+            cP, cR = P.center, R.center
+            if weak is not None:
+                dist2 = 0.0
+                for c in range(P.axes.total_dim):
+                    i = P.axes.coord_param()[c]
+                    dist2 += float((cP[c] - cR[c]) * 2 ** P.levels[i]) ** 2
+                bound = (1.0 + math.sqrt(dist2)) ** weak
+            else:
+                a, b, cc = strong
+                bound = 1.0
+                for i in range(P.axes.k):
+                    lP, lR = float(P.side(i)), float(R.side(i))
+                    bound *= max((lR / lP) ** a[i], (lP / lR) ** b[i])
+                    off = max(abs(float(cP[c] - cR[c]))
+                              for c in P.axes.param_coords(i))
+                    bound *= (1.0 + off / max(lP, lR)) ** cc[i]
+            worst = max(worst, val / bound)
+    return worst
+
+
 class TestDoubling:
+    @pytest.mark.parametrize("mode", [
+        {"strong": ((0.5, 1.0), (1.0, 0.5), (1.0, 2.0))},
+        {"weak": 1.0},
+        {"weak": -1.0}])   # favours far pairs: the euclidean sum matters
+    def test_matches_pair_loop(self, mode):
+        w = Window.unit(AxisSpec((1, 1)), (2, 2))
+        V = random_spd_field(w, 2, np.random.default_rng(3))
+        fam = reducing_family(V, list(w.levels()), 2.0)
+        assert doubling_check(fam, **mode) == \
+            pytest.approx(_doubling_loop(fam, **mode), rel=1e-12, abs=0)
+
     def test_constant_family_strong(self, w1):
         V = _scalar_weight(w1, np.ones(4))
         fam = reducing_family(V, list(w1.levels()))
