@@ -7,8 +7,9 @@ Three functionals of a nonnegative multiplier family gamma_j:
 * open-set functional: sup over a family of open sets Omega of the
   normalized L^s(Omega) norm of sup_j 1_{Omega_j} gamma_j, where Omega_j
   is the union of level-j rectangles inside Omega;
-* weight functional: like the open-set one but built from a matrix weight
-  through its reducing operators.
+* weight functional: the open-set functional of the weight multipliers
+  gamma_j(x) = |V(x) A_R^{-1}|, R the level-j rectangle containing x, built
+  from a matrix weight V through its reducing operators A_R.
 """
 from __future__ import annotations
 
@@ -112,33 +113,10 @@ def dyadic_omega_family(window: Window):
 def acarl_functional(V: MatrixWeight, fam: ReducingFamily, s: float,
                      omegas) -> float:
     """sup over the family of (avg over Omega of
-    sup_{R: x in R inside Omega} |V(x) A_R^{-1}|^s dx)^{1/s}."""
-    w = V.window
-    Vx = V.field.values
-    best = 0.0
-    inv = {R: np.linalg.inv(A) for R, A in fam.matrices.items()}
-    for om in omegas:
-        count = int(om.mask.sum())
-        if count == 0:
-            continue
-        sup = np.zeros(w.shape)
-        for R, Ai in inv.items():
-            coarse = level_mask(om, R.levels)
-            sl = w.rect_slices(R)
-            # R must lie inside Omega
-            idx = tuple(x // f for x, f in zip(
-                [sl[a].start for a in range(len(sl))],
-                w.block_factors(R.levels)))
-            if not coarse[idx]:
-                continue
-            vals = op_norm(Vx[sl] @ Ai)
-            sup[sl] = np.maximum(sup[sl], vals)
-        arr = sup[om.mask]
-        if s == INF:
-            best = max(best, float(arr.max()))
-        else:
-            best = max(best, float(((arr ** s).sum() / count) ** (1.0 / s)))
-    return best
+    sup_{R: x in R inside Omega} |V(x) A_R^{-1}|^s dx)^{1/s}: the open
+    functional of the primal weight multipliers.  The family must hold
+    every rectangle of each of its levels, as ``reducing_family`` builds."""
+    return open_functional(weight_multipliers(V, fam), s, omegas)
 
 
 def weight_multipliers(V: MatrixWeight, fam: ReducingFamily,
@@ -146,18 +124,12 @@ def weight_multipliers(V: MatrixWeight, fam: ReducingFamily,
     """gamma_j(x) = |V(x) A_R^{-1}| (primal) or |A_R V(x)^{-1}| (dual),
     with R the level-j rectangle containing x."""
     w = V.window
-    levels = sorted({R.levels for R in fam.matrices})
+    at_level = fam.level_weight(w)
     gammas = {}
-    for j in levels:
-        g = np.zeros(w.shape)
-        for _, R in w.rects_at_level(j):
-            A = fam.matrices[R]
-            sl = w.rect_slices(R)
-            if dual:
-                g[sl] = op_norm(A @ V.inv_values[sl])
-            else:
-                g[sl] = op_norm(V.field.values[sl] @ np.linalg.inv(A))
-        gammas[j] = g
+    for j in sorted({R.levels for R in fam.matrices}):
+        Aj = at_level(j).values
+        gammas[j] = op_norm(Aj @ V.inv_values) if dual \
+            else op_norm(V.field.values @ np.linalg.inv(Aj))
     return MultiplierFamily(w, gammas)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 __all__ = [
     "AxisSpec", "DyadicRect", "GeneralRect", "Window", "OpenSet",
-    "PiecewiseField", "dilate", "open_restrict", "integrate_over",
+    "PiecewiseField", "dilate", "integrate_over",
     "block_reduce", "block_lp", "level_mask", "expand_mask", "rect_arrays",
 ]
 
@@ -259,22 +259,26 @@ class Window:
             for _, R in self.rects_at_level(j):
                 yield R
 
-    def rect_slices(self, R: DyadicRect) -> tuple[slice, ...]:
-        """Grid slices covered by a dyadic rectangle contained in the window."""
+    def coarse_index(self, R: DyadicRect) -> tuple[int, ...]:
+        """Index of a dyadic rectangle contained in the window in the coarse
+        grid of its level (the index ``rects_at_level`` yields with it)."""
         if any(j < b or j > m for j, b, m in
                zip(R.levels, self.bounds.levels, self.j_max)):
             raise ValueError("rectangle level outside window levels")
-        sl, pos = [], 0
-        for i, n in enumerate(self.axes.dims):
-            f = 1 << (self.j_max[i] - R.levels[i])
+        idx = []
+        for i in range(self.axes.k):
             scale = 1 << (R.levels[i] - self.bounds.levels[i])
-            for c in range(n):
-                start = (R.offsets[i][c] - self.bounds.offsets[i][c] * scale) * f
-                if start < 0 or start + f > self.shape[pos + c]:
-                    raise ValueError("rectangle not inside window")
-                sl.append(slice(start, start + f))
-            pos += n
-        return tuple(sl)
+            idx.extend(m - b * scale for m, b in
+                       zip(R.offsets[i], self.bounds.offsets[i]))
+        if any(c < 0 or c >= n for c, n in
+               zip(idx, self.coarse_shape(R.levels))):
+            raise ValueError("rectangle not inside window")
+        return tuple(idx)
+
+    def rect_slices(self, R: DyadicRect) -> tuple[slice, ...]:
+        """Grid slices covered by a dyadic rectangle contained in the window."""
+        return tuple(slice(c * f, (c + 1) * f) for c, f in
+                     zip(self.coarse_index(R), self.block_factors(R.levels)))
 
     def full_mask(self) -> np.ndarray:
         return np.ones(self.shape, dtype=bool)
@@ -353,12 +357,6 @@ def expand_mask(window: Window, coarse: np.ndarray, j: tuple[int, ...]) -> np.nd
     for ax, f in enumerate(window.block_factors(j)):
         out = np.repeat(out, f, axis=ax)
     return out
-
-
-def open_restrict(omega: OpenSet, j: tuple[int, ...]) -> OpenSet:
-    """Union of level-j dyadic rectangles fully contained in omega."""
-    coarse = level_mask(omega, j)
-    return OpenSet(omega.window, expand_mask(omega.window, coarse, j))
 
 
 class PiecewiseField:

@@ -84,7 +84,7 @@ def weighted_maximal(V: MatrixWeight, f: PiecewiseField,
     return MaximalResult(PiecewiseField(w, out.reshape(w.shape)), "weighted")
 
 
-def reducing_maximal(F: MatrixWeight, v: float = 1.0, n_dirs: int = 32,
+def reducing_maximal(F: MatrixWeight, v: float = 1.0,
                      rng=None) -> MaximalResult:
     """Operator-valued maximal function: per cell, an SPD matrix whose
     action on e tracks the scalar maximal function of y -> |F(y) e|,
@@ -92,8 +92,8 @@ def reducing_maximal(F: MatrixWeight, v: float = 1.0, n_dirs: int = 32,
     rng = np.random.default_rng(0) if rng is None else rng
     w = F.window
     m = F.m
-    dirs = np.concatenate([np.eye(m), _unit_dirs(m, n_dirs, rng)])
-    fresh = np.concatenate([np.eye(m), _unit_dirs(m, 64, rng)])
+    dirs = _unit_dirs(m, 32, rng)
+    fresh = _unit_dirs(m, 64, rng)
     alld = np.concatenate([dirs, fresh])
     # S[d, cells...] = maximal function of |F(.) e_d| at each cell
     S = np.stack([

@@ -244,15 +244,17 @@ class CoeffSeq:
 
     def to_family(self, window: Window) -> FieldFamily:
         """Expand t to fields t_j = sum_R t_R |R|^{-1/2} 1_R."""
-        fam = FieldFamily(window)
+        coarse, measure = {}, {}
         for R, v in self.data.items():
-            j = R.levels
-            if j not in fam.fields:
-                fam.fields[j] = PiecewiseField(
-                    window, np.zeros(window.shape + (self.m,)))
-            sl = window.rect_slices(R)
-            fam.fields[j].values[sl] += float(R.measure) ** -0.5 * v
-        return fam
+            idx, j = window.coarse_index(R), R.levels
+            if j not in coarse:
+                coarse[j] = np.zeros(window.coarse_shape(j) + (self.m,))
+                measure[j] = float(R.measure)
+            coarse[j][idx] = v
+        return FieldFamily(window, {
+            j: PiecewiseField(window, expand_mask(
+                window, measure[j] ** -0.5 * c, j))
+            for j, c in coarse.items()})
 
 
 def a_norm(t: CoeffSeq, spec: NormSpec, window: Window,

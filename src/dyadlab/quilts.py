@@ -165,14 +165,17 @@ def distribution_step(mu: LevelDistribution, cap: int = None,
     way: support points beyond `cap` merge into their conditional mean,
     and probabilities are floored to the dyadic quantum 2^-quantum_bits
     with the lost mass and mean restored as one exact correction atom.
-    Total mass and mean are preserved exactly in both modes.
+    Total mass and mean are preserved exactly in both modes.  Giving only
+    one of cap/quantum_bits raises ValueError.
     """
+    if (cap is None) != (quantum_bits is None):
+        raise ValueError("give both cap and quantum_bits, or neither")
     half = _Q(1, 2)
     nu = {0: half}
     for k, p in mu.probs.items():
         nu[k] = nu.get(k, _Q(0)) + half * p
     conv = _square_law(nu)
-    if cap is not None and quantum_bits is not None:
+    if cap is not None:
         conv = _coarsen(conv, cap, quantum_bits)
     return LevelDistribution(conv)
 

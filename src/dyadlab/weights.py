@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import (DyadicRect, GeneralRect, PiecewiseField, Window,
-                       _overlap_weights, rect_arrays)
+                       _overlap_weights, dilate, expand_mask, rect_arrays)
 
 __all__ = [
     "MatrixWeight", "ReducingFamily", "ApReport", "ApDimFit",
@@ -148,12 +148,13 @@ def mvee(points: np.ndarray, tol: float = 1e-8, max_iter: int = 10 ** 4):
 
 
 def _unit_dirs(m: int, n: int, rng) -> np.ndarray:
+    """The m coordinate directions, then n random unit directions."""
     g = rng.standard_normal((n, m))
-    return g / np.linalg.norm(g, axis=1, keepdims=True)
+    return np.concatenate([np.eye(m),
+                           g / np.linalg.norm(g, axis=1, keepdims=True)])
 
 
-def reduce_general(V: MatrixWeight, R, p: float, n_dirs: int = None,
-                   rng=None):
+def reduce_general(V: MatrixWeight, R, p: float, rng=None):
     """Ellipsoid-fitted reducing operator of order p, with a measured
     sandwich certificate (c_lo, c_hi) on fresh directions.
 
@@ -165,8 +166,7 @@ def reduce_general(V: MatrixWeight, R, p: float, n_dirs: int = None,
         raise ValueError("p must be positive")
     m = V.m
     rng = np.random.default_rng(0) if rng is None else rng
-    n_dirs = max(2 * m * m, 48) if n_dirs is None else n_dirs
-    dirs = np.concatenate([np.eye(m), _unit_dirs(m, n_dirs, rng)])
+    dirs = _unit_dirs(m, max(2 * m * m, 48), rng)
     r = lp_seminorm(V, R, p, dirs)
     degenerate = bool(r.min() <= 1e-13 * max(r.max(), 1.0))
     if degenerate:
@@ -179,7 +179,7 @@ def reduce_general(V: MatrixWeight, R, p: float, n_dirs: int = None,
         # quasi-norm ball: compare through its convex hull
         pts = pts * (2 * m + 1) ** (1.0 - 1.0 / p)
     A = spd_power(mvee(pts), 0.5)
-    fresh = np.concatenate([np.eye(m), _unit_dirs(m, 200, rng)])
+    fresh = _unit_dirs(m, 200, rng)
     rf = lp_seminorm(V, R, p, fresh)
     Af = np.linalg.norm(fresh @ A.T, axis=1)
     ratio = Af / rf
@@ -199,13 +199,13 @@ class ReducingFamily:
     certificates: dict[DyadicRect, tuple] = field(default_factory=dict)
 
     def level_weight(self, window: Window):
-        """Callable j -> matrix PiecewiseField, for the mixed-norm API."""
+        """Callable j -> matrix PiecewiseField, for the mixed-norm API; the
+        family must hold every level-j rectangle of the window."""
         def at_level(j):
-            m = next(iter(self.matrices.values())).shape[0]
-            out = np.zeros(window.shape + (m, m))
-            for _, R in window.rects_at_level(j):
-                out[window.rect_slices(R)] = self.matrices[R]
-            return PiecewiseField(window, out)
+            A = np.array([self.matrices[R]
+                          for _, R in window.rects_at_level(j)])
+            A = A.reshape(window.coarse_shape(j) + A.shape[1:])
+            return PiecewiseField(window, expand_mask(window, A, j))
         return at_level
 
 
@@ -246,12 +246,11 @@ class ApReport:
     tag: str
 
 
-def _pair_norm(V: MatrixWeight, P, R, p: float, q: float = None) -> float:
+def _pair_norm(V: MatrixWeight, Vinv: MatrixWeight, P, R, p: float,
+               q: float = None) -> float:
     outer = p if q is None else q
     Ac, aw = _cells_and_weights(V, P)
-    W = MatrixWeight(PiecewiseField(V.window, V.inv_values),
-                     inv_values=V.field.values)
-    Bc, bw = _cells_and_weights(W, R)
+    Bc, bw = _cells_and_weights(Vinv, R)
     return two_variable_norm(Ac, aw, Bc, bw, outer, conjugate(p))
 
 
@@ -265,8 +264,9 @@ def ap_constant(V: MatrixWeight, p: float, pairs, q: float = None) -> ApReport:
     if not pairs:
         raise ValueError("empty pair family")
     best, wit = -INF, None
+    Vinv = V.inverse()
     for P, R in pairs:
-        c = _pair_norm(V, P, R, p, q)
+        c = _pair_norm(V, Vinv, P, R, p, q)
         if c > best:
             best, wit = c, (P, R)
     tag = "Apq" if q is not None else "Rect2"
@@ -284,7 +284,7 @@ def ap_dilated_constant(V: MatrixWeight, p: float, j: tuple) -> ApReport:
     window = V.window
     wb = GeneralRect.from_dyadic(window.bounds)
     best, wit, clipped = -INF, None, False
-    from .geometry import dilate
+    Vinv = V.inverse()
     for R in window.rects():
         D = dilate(R, j)
         ivs = []
@@ -298,7 +298,7 @@ def ap_dilated_constant(V: MatrixWeight, p: float, j: tuple) -> ApReport:
             ivs.append((lo2, hi2))
         if ivs is None:
             continue
-        c = _pair_norm(V, R, GeneralRect(window.axes, tuple(ivs)), p)
+        c = _pair_norm(V, Vinv, R, GeneralRect(window.axes, tuple(ivs)), p)
         if c > best:
             best, wit = c, (R, j)
     if wit is None:
@@ -387,13 +387,13 @@ def doubling_check(fam: ReducingFamily, *, strong=None, weak=None) -> float:
 
 
 def rhi_constant(V: MatrixWeight, p: float, s: float, rects,
-                 n_dirs: int = 64, rng=None) -> float:
+                 rng=None) -> float:
     """Reverse-Holder ratio: sup over rectangles and directions of the
     L^s/L^p seminorm quotient (0/0 := 0)."""
     if s < p:
         raise ValueError("need s >= p")
     rng = np.random.default_rng(0) if rng is None else rng
-    dirs = np.concatenate([np.eye(V.m), _unit_dirs(V.m, n_dirs, rng)])
+    dirs = _unit_dirs(V.m, 64, rng)
     best = 0.0
     for R in rects:
         hi = lp_seminorm(V, R, s, dirs)
@@ -415,14 +415,13 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, theta: float) -> np.ndarray:
 
 def sobolev_condition_constant(V0: MatrixWeight, V1: MatrixWeight,
                                p0: float, p1: float, s0, s1,
-                               rects, n_dirs: int = 64, rng=None) -> float:
+                               rects, rng=None) -> float:
     """Smallest C with 2^{jP.(s1 - n/p1)} |V1 z|_{Lp1(P)} <=
     C 2^{jP.(s0 - n/p0)} |V0 z|_{Lp0(P)} over the family and directions."""
     if not p0 < p1:
         raise ValueError("need p0 < p1")
     rng = np.random.default_rng(0) if rng is None else rng
-    m = V1.m
-    dirs = np.concatenate([np.eye(m), _unit_dirs(m, n_dirs, rng)])
+    dirs = _unit_dirs(V1.m, 64, rng)
     n = np.array(V0.window.axes.dims, dtype=float)
     s0 = np.asarray(s0, dtype=float)
     s1 = np.asarray(s1, dtype=float)

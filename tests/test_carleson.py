@@ -1,4 +1,5 @@
 """Carleson embedding functionals."""
+import functools
 import math
 
 import numpy as np
@@ -11,9 +12,11 @@ from dyadlab.carleson import (MultiplierFamily, acarl_functional,
                               embedding_ratio, open_functional,
                               rect_functional, rect_truncated_functional,
                               weight_multipliers)
-from dyadlab.geometry import AxisSpec, OpenSet, PiecewiseField, Window
-from dyadlab.mixed_norms import NormSpec, Permutation
-from dyadlab.weights import MatrixWeight, reducing_family
+from dyadlab.geometry import (AxisSpec, OpenSet, PiecewiseField, Window,
+                              level_mask)
+from dyadlab.mixed_norms import CoeffSeq, NormSpec, Permutation, a_norm
+from dyadlab.weights import (MatrixWeight, op_norm, random_spd_field,
+                             reducing_family)
 
 INF = math.inf
 
@@ -108,6 +111,132 @@ class TestWeightMultipliers:
         fam = reducing_family(V, list(w1.levels()))
         got = acarl_functional(V, fam, 2.0, all_open_sets(w1))
         assert got == pytest.approx(1.0)
+
+
+# the per-rectangle loops that the level-grid versions replaced, as oracles
+
+def _level_weight_loop(fam, window, j):
+    m = next(iter(fam.matrices.values())).shape[0]
+    out = np.zeros(window.shape + (m, m))
+    for _, R in window.rects_at_level(j):
+        out[window.rect_slices(R)] = fam.matrices[R]
+    return out
+
+
+def _weight_multipliers_loop(V, fam, dual=False):
+    w = V.window
+    gammas = {}
+    for j in sorted({R.levels for R in fam.matrices}):
+        g = np.zeros(w.shape)
+        for _, R in w.rects_at_level(j):
+            A = fam.matrices[R]
+            sl = w.rect_slices(R)
+            if dual:
+                g[sl] = op_norm(A @ V.inv_values[sl])
+            else:
+                g[sl] = op_norm(V.field.values[sl] @ np.linalg.inv(A))
+        gammas[j] = g
+    return gammas
+
+
+def _acarl_loop(V, fam, s, omegas):
+    w = V.window
+    Vx = V.field.values
+    best = 0.0
+    inv = {R: np.linalg.inv(A) for R, A in fam.matrices.items()}
+    for om in omegas:
+        count = int(om.mask.sum())
+        if count == 0:
+            continue
+        sup = np.zeros(w.shape)
+        for R, Ai in inv.items():
+            coarse = level_mask(om, R.levels)
+            sl = w.rect_slices(R)
+            idx = tuple(x // f for x, f in zip(
+                [sl[a].start for a in range(len(sl))],
+                w.block_factors(R.levels)))
+            if not coarse[idx]:
+                continue
+            vals = op_norm(Vx[sl] @ Ai)
+            sup[sl] = np.maximum(sup[sl], vals)
+        arr = sup[om.mask]
+        if s == INF:
+            best = max(best, float(arr.max()))
+        else:
+            best = max(best, float(((arr ** s).sum() / count) ** (1.0 / s)))
+    return best
+
+
+_ORACLE_WINDOWS = [((1,), (2,)), ((1, 1), (1, 1)), ((2, 1), (1, 1))]
+
+
+@functools.lru_cache(maxsize=None)
+def _weight_and_family(dims, j_max, m, p):
+    w = Window.unit(AxisSpec(dims), j_max)
+    rng = np.random.default_rng(sum(dims) * 100 + sum(j_max) * 10 + m)
+    V = random_spd_field(w, m, rng)
+    return V, reducing_family(V, list(w.levels()), p)
+
+
+_FAMILIES = pytest.mark.parametrize("dims, j_max, m, p", [
+    pytest.param(dims, j_max, m, p,
+                 id=f"{dims}/{j_max}-m{m}-p{p}".replace(" ", ""))
+    for dims, j_max in _ORACLE_WINDOWS for m in (1, 2) for p in (2.0, 1.5)])
+
+
+class TestLevelGridMatchesLoops:
+    """The level-grid paths reproduce the per-rectangle loops bit for bit."""
+
+    @_FAMILIES
+    def test_level_weight(self, dims, j_max, m, p):
+        V, fam = _weight_and_family(dims, j_max, m, p)
+        at_level = fam.level_weight(V.window)
+        for j in V.window.levels():
+            assert np.array_equal(at_level(j).values,
+                                  _level_weight_loop(fam, V.window, j))
+
+    @_FAMILIES
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_weight_multipliers(self, dims, j_max, m, p, dual):
+        V, fam = _weight_and_family(dims, j_max, m, p)
+        got = weight_multipliers(V, fam, dual=dual).gammas
+        want = _weight_multipliers_loop(V, fam, dual=dual)
+        assert list(got) == list(want)
+        for j in want:
+            assert np.array_equal(got[j], want[j])
+
+    @_FAMILIES
+    @pytest.mark.parametrize("omega_family", [all_open_sets,
+                                              dyadic_omega_family])
+    def test_acarl_functional(self, dims, j_max, m, p, omega_family):
+        V, fam = _weight_and_family(dims, j_max, m, p)
+        omegas = list(omega_family(V.window))
+        gamma = weight_multipliers(V, fam)
+        for s in (0.5, 1.0, 2.0, INF):
+            got = acarl_functional(V, fam, s, omegas)
+            assert got == _acarl_loop(V, fam, s, omegas)
+            assert got == open_functional(gamma, s, omegas)
+
+
+class TestNoRectSlicesInGridPaths:
+    def test_grid_paths_never_slice(self, monkeypatch):
+        V, fam = _weight_and_family((1, 1), (1, 1), 2, 2.0)
+        w = V.window
+        omegas = dyadic_omega_family(w)
+        t = CoeffSeq(w.axes, {R: [1.0, -0.5] for R in w.rects()})
+        spec = NormSpec((0.5, 0.0), 0.25, (2.0, 1.0), (1.0, 2.0),
+                        Permutation.besov(2), tuple(omegas))
+
+        def refuse(self, R):
+            raise AssertionError("rect_slices called")
+        monkeypatch.setattr(Window, "rect_slices", refuse)
+        acarl_functional(V, fam, 2.0, omegas)
+        weight_multipliers(V, fam)
+        weight_multipliers(V, fam, dual=True)
+        for j in w.levels():
+            fam.level_weight(w)(j)
+        t.to_family(w)
+        a_norm(t, spec, w, level_weight=fam.level_weight(w))
 
 
 class TestEmbeddingRatio:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dyadlab.geometry import (AxisSpec, DyadicRect, OpenSet,
                               PiecewiseField, Window, block_lp, dilate,
                               integrate_over, level_mask, rect_arrays)
+from dyadlab.mixed_norms import CoeffSeq
 
 
 class TestMeasure:
@@ -131,6 +132,67 @@ class TestWindow:
         want = [R for j in w2.levels() for _, R in w2.rects_at_level(j)]
         assert list(w2.rects()) == want
         assert len(set(want)) == len(want) == 7 * 7
+
+
+def _rect_slices_loop(w, R):
+    """The per-axis slice computation rect_slices used before coarse_index."""
+    if any(j < b or j > m for j, b, m in
+           zip(R.levels, w.bounds.levels, w.j_max)):
+        raise ValueError("rectangle level outside window levels")
+    sl, pos = [], 0
+    for i, n in enumerate(w.axes.dims):
+        f = 1 << (w.j_max[i] - R.levels[i])
+        scale = 1 << (R.levels[i] - w.bounds.levels[i])
+        for c in range(n):
+            start = (R.offsets[i][c] - w.bounds.offsets[i][c] * scale) * f
+            if start < 0 or start + f > w.shape[pos + c]:
+                raise ValueError("rectangle not inside window")
+            sl.append(slice(start, start + f))
+        pos += n
+    return tuple(sl)
+
+
+# a 1-parameter window on [1/2, 1) and a 2-parameter one on [0,1) x [1,2),
+# each with rectangles outside it: beside it, at a negative offset, one
+# level coarser than its bounds and one level finer than its base cells
+_AX1, _AX2 = AxisSpec((1,)), AxisSpec((1, 1))
+_REFUSAL_WINDOWS = {
+    "one": (Window(DyadicRect(_AX1, (1,), ((1,),)), (3,)), {
+        "outside": DyadicRect(_AX1, (2,), ((0,),)),
+        "negative": DyadicRect(_AX1, (2,), ((-1,),)),
+        "coarse": DyadicRect(_AX1, (0,), ((0,),)),
+        "fine": DyadicRect(_AX1, (4,), ((8,),))}),
+    "two": (Window(DyadicRect(_AX2, (0, 0), ((0,), (1,))), (1, 2)), {
+        "outside": DyadicRect(_AX2, (1, 1), ((0,), (4,))),
+        "negative": DyadicRect(_AX2, (1, 1), ((-1,), (2,))),
+        "coarse": DyadicRect(_AX2, (-1, 0), ((0,), (1,))),
+        "fine": DyadicRect(_AX2, (1, 3), ((0,), (8,)))}),
+}
+
+
+class TestCoarseIndex:
+    @pytest.mark.parametrize("name", sorted(_REFUSAL_WINDOWS))
+    def test_index_of_every_rect(self, name):
+        w = _REFUSAL_WINDOWS[name][0]
+        for j in w.levels():
+            for idx, R in w.rects_at_level(j):
+                assert w.coarse_index(R) == idx
+                assert w.rect_slices(R) == _rect_slices_loop(w, R)
+
+    @pytest.mark.parametrize("name", sorted(_REFUSAL_WINDOWS))
+    @pytest.mark.parametrize("case", ["outside", "negative", "coarse",
+                                      "fine"])
+    @pytest.mark.parametrize("call", [
+        lambda w, R: w.coarse_index(R),
+        lambda w, R: w.rect_slices(R),
+        lambda w, R: CoeffSeq(w.axes, {R: [1.0]}).to_family(w),
+    ], ids=["coarse_index", "rect_slices", "to_family"])
+    def test_refuses_rect_outside(self, name, case, call):
+        w, rects = _REFUSAL_WINDOWS[name]
+        with pytest.raises(ValueError):
+            _rect_slices_loop(w, rects[case])
+        with pytest.raises(ValueError):
+            call(w, rects[case])
 
 
 class TestRectArrays:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab.almost_diagonal import ADParams, apply_ad, random_coeff_seq
 from dyadlab.geometry import (AxisSpec, DyadicRect, OpenSet, Window)
 from dyadlab.mixed_norms import (CoeffSeq, NormSpec, Permutation,
                                  a_norm, a_rect_norm, admissibility,
@@ -119,6 +120,44 @@ class TestANorm:
         # at tau = 0 the open-set variant is the plain norm, which
         # dominates every rectangle-localized value
         assert a_rect_norm(t, spec, w) <= a_norm(t, spec, w) + 1e-12
+
+
+def _to_family_loop(t, window):
+    """The per-rectangle scatter to_family used before the level grid."""
+    fields = {}
+    for R, v in t.data.items():
+        j = R.levels
+        if j not in fields:
+            fields[j] = np.zeros(window.shape + (t.m,))
+        fields[j][window.rect_slices(R)] += float(R.measure) ** -0.5 * v
+    return fields
+
+
+class TestToFamily:
+    @pytest.mark.parametrize("dims, j_max", [((1,), (3,)), ((1, 1), (2, 1)),
+                                             ((2, 1), (1, 2))])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("keep", [1.0, 0.3])
+    def test_matches_loop(self, rng, dims, j_max, m, keep):
+        w = Window.unit(AxisSpec(dims), j_max)
+        t = CoeffSeq(w.axes, {R: rng.standard_normal(m) for R in w.rects()
+                              if rng.uniform() < keep})
+        self._check(t, w)
+
+    def test_matches_loop_on_apply_ad_output(self, rng):
+        w = Window.unit(AxisSpec((1, 1)), (3, 2))
+        t = random_coeff_seq(w, rng, per_level=2, m=2)
+        bt, _ = apply_ad(ADParams((3.0, 2.5), (2.0, 1.5), (1.0, 2.5)), t, w)
+        assert len(bt.data) == sum(1 for _ in w.rects())
+        self._check(bt, w)
+
+    @staticmethod
+    def _check(t, w):
+        got = t.to_family(w).fields
+        want = _to_family_loop(t, w)
+        assert list(got) == list(want)
+        for j in want:
+            assert np.array_equal(got[j].values, want[j])
 
 
 class TestTensor:

@@ -84,6 +84,11 @@ class TestDistribution:
             assert mu.mean == 1
             assert mu.total == 1
 
+    @pytest.mark.parametrize("kw", [{"cap": 8}, {"quantum_bits": 8}])
+    def test_lone_coarsening_option_refused(self, kw):
+        with pytest.raises(ValueError):
+            distribution_step(LevelDistribution(), **kw)
+
     def test_p_pos_is_sigma(self):
         mu = LevelDistribution()
         for s in sigma_sequence(6):
