@@ -7,13 +7,12 @@ window lattice.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import PiecewiseField, block_lp, expand_mask
-from .weights import MatrixWeight, _unit_dirs, mvee, spd_power
+from .weights import MatrixWeight, _balanced_fit, _unit_dirs
 
 __all__ = [
     "MaximalResult", "avg_field", "strong_maximal", "axis_maximal",
@@ -103,19 +102,9 @@ def reducing_maximal(F: MatrixWeight, v: float = 1.0,
         ), p=v).field.values
         for d in alld])
     nfit = dirs.shape[0]
-    flatS = S.reshape(S.shape[0], -1)
-    C = flatS.shape[1]
-    out = np.zeros((C, m, m))
-    certs = np.zeros((C, 2))
-    for c in range(C):
-        r = flatS[:nfit, c]
-        A = spd_power(mvee(dirs / r[:, None]), 0.5)
-        rf = flatS[nfit:, c]
-        ratio = np.linalg.norm(fresh @ A.T, axis=1) / rf
-        lo, hi = ratio.min(), ratio.max()
-        scale = 1.0 / math.sqrt(lo * hi)
-        out[c] = scale * A
-        certs[c] = (lo * scale, hi * scale)
+    out, certs = map(np.array, zip(*[
+        _balanced_fit(dirs / s[:nfit, None], fresh, s[nfit:])
+        for s in S.reshape(S.shape[0], -1).T]))
     res = PiecewiseField(w, out.reshape(w.shape + (m, m)))
     return MaximalResult(res, "reducing", {"certs": certs})
 

@@ -26,6 +26,8 @@ __all__ = [
 ]
 
 INF = math.inf
+MVEE_TOL = 1e-8       # log det M ends within m * MVEE_TOL of its maximum
+MVEE_MAX_STEPS = 500  # Newton steps over the whole barrier path
 
 
 def conjugate(p: float) -> float:
@@ -127,24 +129,56 @@ def reduce_exact_p2(V: MatrixWeight, R=None) -> np.ndarray:
     return spd_power(M, 0.5)
 
 
-def mvee(points: np.ndarray, tol: float = 1e-8, max_iter: int = 10 ** 4):
+def mvee(points: np.ndarray) -> np.ndarray:
     """Minimum-volume origin-centred ellipsoid {x: x'Mx <= 1} enclosing the
-    symmetric point set +-points (Khachiyan iteration)."""
+    symmetric point set +-points: log det M is within m * MVEE_TOL of its
+    maximum, and max p'Mp = 1, so every point is enclosed.
+
+    Log-barrier path following (Boyd & Vandenberghe, Convex Optimization,
+    8.4.1, ch. 11) over the m(m+1)/2 coordinates of M, on whitened points:
+    damped Newton centering (slacks kept positive, M positive definite,
+    Armijo until the squared Newton decrement is below 1/4), t grown 20-fold
+    to N/(m MVEE_TOL), where the duality gap N/t is m * MVEE_TOL.  Raises
+    ValueError for points that are not finite or do not span R^m, and
+    RuntimeError after MVEE_MAX_STEPS Newton steps rather than return an
+    unconverged M."""
     P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or not np.isfinite(P).all():
+        raise ValueError("points must be a finite (N, m) array")
     N, m = P.shape
-    u = np.full(N, 1.0 / N)
-    for _ in range(max_iter):
-        X = np.einsum("i,ia,ib->ab", u, P, P)
-        w = np.einsum("ia,ab,ib->i", P, np.linalg.inv(X), P)
-        i = int(np.argmax(w))
-        kap = w[i]
-        if kap <= m * (1.0 + tol):
-            break
-        step = (kap - m) / (m * (kap - 1.0))
-        u *= 1.0 - step
-        u[i] += step
-    X = np.einsum("i,ia,ib->ab", u, P, P)
-    return np.linalg.inv(X) / m
+    Q, S, Vt = np.linalg.svd(P, full_matrices=False)  # Q = P V diag(1/S)
+    if N < m or S[-1] <= N * np.finfo(float).eps * S[0]:
+        raise ValueError("points do not span R^m")
+    iu = np.triu_indices(m)
+    E = np.eye(m)[iu[0], :, None] * np.eye(m)[iu[1], None, :]
+    E = E + E.transpose(0, 2, 1)  # basis of the symmetric matrices
+    Ef = E.reshape(len(E), -1)    # M = (x @ Ef).reshape(m, m)
+    A = np.einsum("ia,kab,ib->ik", Q, E, Q)  # q_i'Mq_i = A[i] @ x
+    x = np.eye(m)[iu] / (4.0 * np.max(np.einsum("ia,ia->i", Q, Q)))
+
+    def phi(x):  # barrier objective at the current t, inf off its domain
+        s, w = 1.0 - A @ x, np.linalg.eigvalsh((x @ Ef).reshape(m, m))
+        return (-t * np.log(w).sum() - np.log(s).sum()
+                if s.min() > 0 and w[0] > 0 else INF)
+    t_end, steps = N / (m * MVEE_TOL), 0
+    for t in [*20.0 ** np.arange(math.ceil(math.log(t_end, 20))), t_end]:
+        f, lam2 = phi(x), INF
+        while lam2 > (1e-8 if t == t_end else 0.1):  # tight only at t_end
+            if (steps := steps + 1) > MVEE_MAX_STEPS:
+                raise RuntimeError("mvee: Newton step cap reached")
+            s = 1.0 - A @ x
+            As, C = A / s[:, None], E @ np.linalg.inv((x @ Ef).reshape(m, m))
+            g = As.sum(axis=0) - t * np.einsum("kaa->k", C)
+            dx = -np.linalg.solve(
+                As.T @ As + t * np.einsum("kab,lba->kl", C, C), g)
+            lam2 = -g @ dx
+            a = 1.0 if lam2 < 0.25 else 0.99 / max((A @ dx / s).max(), 0.99)
+            while ((f1 := phi(x + a * dx)) == INF
+                   or lam2 >= 0.25 and f1 > f - 0.25 * a * lam2):
+                a *= 0.5
+            x, f = x + a * dx, f1
+    M = Vt.T @ ((x @ Ef).reshape(m, m) / np.outer(S, S)) @ Vt
+    return M / np.max(np.einsum("ia,ab,ib->i", P, M, P))
 
 
 def _unit_dirs(m: int, n: int, rng) -> np.ndarray:
@@ -168,26 +202,28 @@ def reduce_general(V: MatrixWeight, R, p: float, rng=None):
     rng = np.random.default_rng(0) if rng is None else rng
     dirs = _unit_dirs(m, max(2 * m * m, 48), rng)
     r = lp_seminorm(V, R, p, dirs)
-    degenerate = bool(r.min() <= 1e-13 * max(r.max(), 1.0))
-    if degenerate:
-        keep = r > 1e-13 * max(r.max(), 1.0)
-        dirs, r = dirs[keep], r[keep]
-        if len(r) < m:
-            return np.zeros((m, m)), (0.0, 0.0), True
+    keep = r > 1e-13 * max(r.max(), 1.0)
+    degenerate = not keep.all()
+    dirs, r = dirs[keep], r[keep]
+    if len(r) < m:
+        return np.zeros((m, m)), (0.0, 0.0), True
     pts = dirs / r[:, None]
     if p < 1:
         # quasi-norm ball: compare through its convex hull
         pts = pts * (2 * m + 1) ** (1.0 - 1.0 / p)
-    A = spd_power(mvee(pts), 0.5)
     fresh = _unit_dirs(m, 200, rng)
-    rf = lp_seminorm(V, R, p, fresh)
-    Af = np.linalg.norm(fresh @ A.T, axis=1)
-    ratio = Af / rf
+    A, cert = _balanced_fit(pts, fresh, lp_seminorm(V, R, p, fresh))
+    return A, cert, degenerate
+
+
+def _balanced_fit(pts, fresh, rf):
+    """A = mvee(pts)^{1/2}, scaled so that its ratios |Ae|/r(e) on the fresh
+    directions, measured as rf, bracket 1 evenly; returns A, (c_lo, c_hi)."""
+    A = spd_power(mvee(pts), 0.5)
+    ratio = np.linalg.norm(fresh @ A.T, axis=1) / rf
     c_lo, c_hi = float(ratio.min()), float(ratio.max())
     scale = 1.0 / math.sqrt(c_lo * c_hi)
-    A = scale * A
-    cert = (c_lo * scale, c_hi * scale)
-    return A, cert, degenerate
+    return scale * A, (c_lo * scale, c_hi * scale)
 
 
 @dataclass

@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadlab import weights
 from dyadlab.geometry import AxisSpec, DyadicRect, PiecewiseField, Window
-from dyadlab.weights import (MatrixWeight, ap_constant, ap_dilated_constant,
-                             conjugate, diag_pairs, doubling_check,
-                             fit_ap_dimensions, geometric_mean, mvee,
-                             random_spd_field, reduce_exact_p2,
-                             reduce_general, reducing_family, rhi_constant,
-                             sobolev_condition_constant, spd_power)
+from dyadlab.maximal import reducing_maximal, strong_maximal
+from dyadlab.weights import (MVEE_TOL, MatrixWeight, ap_constant,
+                             ap_dilated_constant, conjugate, diag_pairs,
+                             doubling_check, fit_ap_dimensions,
+                             geometric_mean, mvee, random_spd_field,
+                             reduce_exact_p2, reduce_general, reducing_family,
+                             rhi_constant, sobolev_condition_constant,
+                             spd_power)
 
 INF = math.inf
 
@@ -102,18 +105,216 @@ class TestReduce:
         assert deg
 
 
+def _khachiyan(points, tol=1e-8, max_iter=10 ** 4):
+    """The Khachiyan iteration that mvee replaced (oracle): it stops at
+    kap <= m (1 + tol) or after max_iter steps, and its ellipsoid can miss
+    points by the factor kap / m."""
+    P = np.asarray(points, dtype=float)
+    N, m = P.shape
+    u = np.full(N, 1.0 / N)
+    for _ in range(max_iter):
+        X = np.einsum("i,ia,ib->ab", u, P, P)
+        w = np.einsum("ia,ab,ib->i", P, np.linalg.inv(X), P)
+        i = int(np.argmax(w))
+        kap = w[i]
+        if kap <= m * (1.0 + tol):
+            break
+        step = (kap - m) / (m * (kap - 1.0))
+        u *= 1.0 - step
+        u[i] += step
+    X = np.einsum("i,ia,ib->ab", u, P, P)
+    return np.linalg.inv(X) / m
+
+
+def _reach(P, M):
+    """max over the points of p'Mp."""
+    return float(np.max(np.einsum("ia,ab,ib->i", P, M, P)))
+
+
+def _fit_inputs(m, seed, monkeypatch):
+    """The point sets reduce_general (p in {0.5, 1.5, 3}) and
+    reducing_maximal (two cells) hand to mvee for a seeded m x m field."""
+    seen, real = [], weights.mvee
+
+    def record(pts):
+        seen.append(np.array(pts))
+        return real(pts)
+
+    rng = np.random.default_rng(seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(weights, "mvee", record)
+        V = random_spd_field(Window.unit(AxisSpec((1,)), (2,)), m, rng)
+        for p in (0.5, 1.5, 3.0):
+            reduce_general(V, None, p, rng=rng)
+        F = random_spd_field(Window.unit(AxisSpec((1,)), (1,)), m, rng)
+        reducing_maximal(F, rng=rng)
+    assert len(seen) == 5
+    return seen
+
+
 class TestMvee:
     def test_circle(self, rng):
         th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         pts = np.c_[np.cos(th), np.sin(th)]
         M = mvee(pts)
-        assert np.allclose(M, np.eye(2), atol=1e-4)
+        assert np.allclose(M, np.eye(2), rtol=0, atol=1e-9)
 
     def test_axis_ellipse(self):
         pts = np.array([[2.0, 0.0], [0.0, 0.5], [-2.0, 0.0], [0.0, -0.5]])
         M = mvee(pts)
-        assert M[0, 0] == pytest.approx(0.25, rel=1e-3)
-        assert M[1, 1] == pytest.approx(4.0, rel=1e-3)
+        assert M[0, 0] == pytest.approx(0.25, rel=1e-9)
+        assert M[1, 1] == pytest.approx(4.0, rel=1e-9)
+        assert M[0, 1] == pytest.approx(0.0, abs=1e-9)
+
+    def test_one_dimension_closed_form(self):
+        for pts in ([[0.3], [-2.0], [1.5]], [[1e-3]], [[-7.0], [7.0]]):
+            M = mvee(np.array(pts))
+            assert M.shape == (1, 1)
+            want = 1.0 / max(p[0] ** 2 for p in pts)
+            assert M[0, 0] == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_against_khachiyan_on_fit_inputs(self, m, monkeypatch):
+        """Every point enclosed, with the farthest on the boundary; log det
+        at least the rescaled Khachiyan one minus m * MVEE_TOL, and at most
+        the weak-duality bound of Khachiyan's unscaled ellipsoid."""
+        for P in _fit_inputs(m, 100 + m, monkeypatch):
+            M = mvee(P)
+            assert abs(_reach(P, M) - 1.0) <= 1e-12
+            K = _khachiyan(P)
+            ld = np.linalg.slogdet(M)[1]
+            lo = np.linalg.slogdet(K / _reach(P, K))[1] - m * MVEE_TOL
+            assert lo <= ld <= np.linalg.slogdet(K)[1] + 1e-12
+
+    def test_gap_against_closed_form(self):
+        """m spanning points Pa plus points strictly inside the ellipsoid
+        (Pa'Pa)^{-1} through them: that ellipsoid is the exact optimum."""
+        rng = np.random.default_rng(17)
+        for m in (1, 2, 3):
+            for n_in in (1, 6, 40):
+                Pa = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
+                Y = rng.standard_normal((n_in, m))
+                Y *= rng.uniform(0.3, 0.999, (n_in, 1)) / np.linalg.norm(
+                    Y, axis=1, keepdims=True)
+                P = rng.permutation(np.vstack([Pa, Y @ Pa]))
+                best = -np.linalg.slogdet(Pa.T @ Pa)[1]
+                ld = np.linalg.slogdet(mvee(P))[1]
+                assert best - m * MVEE_TOL <= ld <= best + 1e-12
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_within_tol_of_a_tighter_solve(self, m, monkeypatch):
+        """A solve to MVEE_TOL / 100 is at most the optimum, so it bounds
+        the gap tightly where Khachiyan's ellipsoids do not."""
+        for P in _fit_inputs(m, 300 + m, monkeypatch):
+            ld = np.linalg.slogdet(mvee(P))[1]
+            with monkeypatch.context() as mp:
+                mp.setattr(weights, "MVEE_TOL", MVEE_TOL / 100)
+                tight = np.linalg.slogdet(mvee(P))[1]
+            assert -m * MVEE_TOL / 100 <= tight - ld <= m * MVEE_TOL
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_affine_equivariant(self, m, monkeypatch):
+        rng = np.random.default_rng(7 + m)
+        for P in _fit_inputs(m, 200 + m, monkeypatch)[::2]:
+            T = rng.standard_normal((m, m)) + 2.0 * np.eye(m)
+            Ti = np.linalg.inv(T)
+            want = Ti.T @ mvee(P) @ Ti
+            got = mvee(P @ T.T)
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("pts", [
+        [[1.0, 0.0], [0.0, math.inf]],
+        [[1.0, 0.0], [math.nan, 1.0]],
+        [[1.0, 2.0], [-2.0, -4.0], [0.5, 1.0]],
+        [[1.0, 2.0]],
+        [1.0, 2.0],
+    ])
+    def test_bad_points_refused(self, pts):
+        # a plain ValueError naming the fault, not LinAlgError (a subclass)
+        with pytest.raises(ValueError, match="finite|span"):
+            mvee(np.array(pts))
+
+    def test_step_cap_raises(self, monkeypatch):
+        th = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        pts = np.c_[2.0 * np.cos(th), np.sin(th)]
+        monkeypatch.setattr(weights, "MVEE_MAX_STEPS", 5)
+        with pytest.raises(RuntimeError):
+            mvee(pts)
+
+
+class TestBalancedFit:
+    """_balanced_fit against the fit-certify-balance sequences that
+    reduce_general and reducing_maximal used to inline (oracles)."""
+
+    @staticmethod
+    def _reduce_general_inline(V, R, p, rng):
+        m = V.m
+        dirs = weights._unit_dirs(m, max(2 * m * m, 48), rng)
+        r = weights.lp_seminorm(V, R, p, dirs)
+        degenerate = bool(r.min() <= 1e-13 * max(r.max(), 1.0))
+        if degenerate:
+            keep = r > 1e-13 * max(r.max(), 1.0)
+            dirs, r = dirs[keep], r[keep]
+            if len(r) < m:
+                return np.zeros((m, m)), (0.0, 0.0), True
+        pts = dirs / r[:, None]
+        if p < 1:
+            pts = pts * (2 * m + 1) ** (1.0 - 1.0 / p)
+        A = spd_power(mvee(pts), 0.5)
+        fresh = weights._unit_dirs(m, 200, rng)
+        rf = weights.lp_seminorm(V, R, p, fresh)
+        ratio = np.linalg.norm(fresh @ A.T, axis=1) / rf
+        c_lo, c_hi = float(ratio.min()), float(ratio.max())
+        scale = 1.0 / math.sqrt(c_lo * c_hi)
+        return scale * A, (c_lo * scale, c_hi * scale), degenerate
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_reduce_general_matches_inline(self, m):
+        w = Window.unit(AxisSpec((1,)), (2,))
+        V = random_spd_field(w, m, np.random.default_rng(m))
+        for p in (0.5, 1.0, 1.5, 3.0):
+            for R in (None, DyadicRect(w.axes, (1,), ((1,),))):
+                got = reduce_general(V, R, p, rng=np.random.default_rng(9))
+                want = self._reduce_general_inline(
+                    V, R, p, np.random.default_rng(9))
+                assert np.array_equal(got[0], want[0])
+                assert got[1:] == want[1:]
+
+    def test_degenerate_matches_inline(self, w1):
+        vals = np.zeros(w1.shape + (2, 2))
+        vals[..., 0, 0] = 1.0
+        vals[..., 1, 1] = 1e-16
+        inv = np.zeros_like(vals)
+        inv[..., 0, 0] = 1.0
+        inv[..., 1, 1] = 1e16
+        V = MatrixWeight(PiecewiseField(w1, vals), inv_values=inv)
+        got = reduce_general(V, None, 1.0, rng=np.random.default_rng(3))
+        want = self._reduce_general_inline(V, None, 1.0,
+                                           np.random.default_rng(3))
+        assert got[2] and want[2]
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    def test_reducing_maximal_matches_inline(self, w1):
+        F = random_spd_field(w1, 2, np.random.default_rng(4))
+        got = reducing_maximal(F, rng=np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        dirs = weights._unit_dirs(2, 32, rng)
+        fresh = weights._unit_dirs(2, 64, rng)
+        S = np.stack([
+            strong_maximal(PiecewiseField(w1, np.linalg.norm(
+                np.einsum("...ab,b->...a", F.field.values, d), axis=-1)
+            )).field.values.reshape(-1)
+            for d in np.concatenate([dirs, fresh])])
+        nfit = len(dirs)
+        for c in range(S.shape[1]):
+            r = S[:nfit, c]
+            A = spd_power(mvee(dirs / r[:, None]), 0.5)
+            ratio = np.linalg.norm(fresh @ A.T, axis=1) / S[nfit:, c]
+            lo, hi = ratio.min(), ratio.max()
+            scale = 1.0 / math.sqrt(lo * hi)
+            assert np.array_equal(got.field.values[c], scale * A)
+            assert np.array_equal(got.extra["certs"][c],
+                                  [lo * scale, hi * scale])
 
 
 class TestApConstant:
