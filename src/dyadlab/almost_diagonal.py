@@ -21,7 +21,7 @@ from .mixed_norms import CoeffSeq, NormSpec, Permutation, a_norm, admissibility
 __all__ = [
     "ADParams", "ADSufficiencyReport", "ad_entry", "sufficiency_check",
     "apply_ad", "random_coeff_seq", "empirical_norm", "composition_constant",
-    "necessity_curve",
+    "necessity_witness", "necessity_curve",
 ]
 
 INF = math.inf
@@ -71,8 +71,15 @@ class ADSufficiencyReport:
     untested_regime: bool
 
     @property
+    def failed(self) -> set:
+        """The failing thresholds, as ("D", "E" or "F", axis) pairs."""
+        oks = {"D": self.d_ok, "E": self.e_ok, "F": self.f_ok}
+        return {(c, i) for c, row in oks.items()
+                for i, ok in enumerate(row) if not ok}
+
+    @property
     def all_ok(self) -> bool:
-        return all(self.d_ok) and all(self.e_ok) and all(self.f_ok)
+        return not self.failed
 
 
 def sufficiency_check(params: ADParams, spec: NormSpec,
@@ -83,15 +90,14 @@ def sufficiency_check(params: ADParams, spec: NormSpec,
     ok, _, r_pi = admissibility(spec.pi, spec.p, spec.q)
     if not ok:
         raise ValueError("spec is not admissible")
-    r = min(1.0, r_pi)
-    n = np.array(dims, float)
-    s = np.array(spec.s, float)
-    d_ok = tuple(params.D[i] > n[i] / r + n[i] * spec.tau
-                 for i in range(len(dims)))
-    e_ok = tuple(params.E[i] > n[i] / 2 + n[i] * spec.tau + s[i]
-                 for i in range(len(dims)))
-    f_ok = tuple(params.F[i] > n[i] / r - n[i] / 2 - s[i]
-                 for i in range(len(dims)))
+    r = float(min(1.0, r_pi))
+    n, s, tau = dims, spec.s, spec.tau
+    idx = range(len(dims))
+    d_ok = tuple(bool(params.D[i] > n[i] / r + n[i] * tau) for i in idx)
+    e_ok = tuple(bool(params.E[i] > n[i] / 2 + n[i] * tau + s[i])
+                 for i in idx)
+    f_ok = tuple(bool(params.F[i] > n[i] / r - n[i] / 2 - s[i])
+                 for i in idx)
     untested = any(q < min(1.0, p) for p, q in zip(spec.p, spec.q))
     return ADSufficiencyReport(d_ok, e_ok, f_ok, r, untested)
 
@@ -197,46 +203,39 @@ def composition_constant(pa: ADParams, pb: ADParams,
     return float(np.max((Ka @ Kb) / Kc))
 
 
-def _necessity_setup(kind: str, gap: float):
-    """One-axis violating parameters and target space for each threshold.
+def necessity_witness(kind: str, gap: float = 1.0, tensor: bool = True):
+    """Kernel just below the `kind` threshold on axis 0 and its target
+    space; returns (ADParams, NormSpec, predicted slope of log2 |Bt|/|t|
+    per unit J).
 
-    Returns (params1d, (p, q), s, predicted slope per doubling); n = 1,
-    tau = 0 throughout, Besov order.  `gap` is how far below the
-    threshold the violated parameter sits.
+    n = 1, tau = 0, s = 0 and Besov order throughout; `gap` is how far
+    below the threshold the violated parameter sits.  tensor=True adds a
+    benign second axis carrying sufficient decay.  Every other threshold
+    of ``sufficiency_check`` holds.
     """
     big = 10.0
-    if kind == "D":
-        p = q = 0.5       # r = 1/2, threshold n/r = 2
-        D = 2.0 - gap
-        return ADParams((D,), (big,), (big,)), (p, q), 0.0, gap
-    if kind == "E":
-        p = q = INF       # threshold n/2 + s = 1/2
-        E = 0.5 - gap
-        return ADParams((big,), (E,), (big,)), (p, q), 0.0, gap
-    if kind == "F":
-        p = q = 1.0       # threshold n/r - n/2 - s = 1/2
-        F = 0.5 - gap
-        return ADParams((big,), (big,), (F,)), (p, q), 0.0, gap
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind == "D":    # p = q = 1/2: r = 1/2, threshold n/r = 2
+        pq, par = 0.5, ((2.0 - gap,), (big,), (big,))
+    elif kind == "E":  # p = q = inf: threshold n/2 + s = 1/2
+        pq, par = INF, ((big,), (0.5 - gap,), (big,))
+    elif kind == "F":  # p = q = 1: threshold n/r - n/2 - s = 1/2
+        pq, par = 1.0, ((big,), (big,), (0.5 - gap,))
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    k = 2 if tensor else 1
+    params = ADParams(*(v + (big,) * (k - 1) for v in par))
+    spec = NormSpec((0.0,) * k, 0.0, (pq,) * k, (pq,) * k,
+                    Permutation.besov(k))
+    return params, spec, gap
 
 
 def necessity_curve(kind: str, Js, gap: float = 1.0, tensor: bool = True):
-    """Witness ratios |Bt|/|t| against window size 2^J for a kernel just
-    below the `kind` threshold; returns (list of (J, ratio), predicted
+    """Witness ratios |Bt|/|t| against window size 2^J for the
+    ``necessity_witness`` kernel; returns (list of (J, ratio), predicted
     slope in log2 per unit J).
-
-    tensor=True runs the two-parameter lift: the violating axis is
-    tensored with a benign second axis carrying sufficient decay.
     """
-    par1, (p, q), s, slope = _necessity_setup(kind, gap)
-    big = 10.0
-    k = 2 if tensor else 1
-    if tensor:
-        params = ADParams(par1.D + (big,), par1.E + (big,), par1.F + (big,))
-        spec = NormSpec((s, 0.0), 0.0, (p, p), (q, q), Permutation.besov(2))
-    else:
-        params = par1
-        spec = NormSpec((s,), 0.0, (p,), (q,), Permutation.besov(1))
+    params, spec, slope = necessity_witness(kind, gap, tensor)
+    k = params.k
     axes = AxisSpec((1,) * k)
     pts = []
     for J in Js:

@@ -1,9 +1,9 @@
-"""Carleson embedding functionals and the empirical embedding tester.
-
-Three functionals of a nonnegative multiplier family gamma_j:
+"""Carleson embedding functionals of a nonnegative multiplier family gamma_j:
 
 * rectangle functional: sup over levels j and level-j rectangles R of the
-  normalized L^p(R) norm of gamma_j;
+  normalized L^p(R) norm of gamma_j.  It never exceeds the truncated
+  functional at the same exponent (the necessity half of the Carleson
+  condition), which ``dyadlab carleson`` checks;
 * open-set functional: sup over a family of open sets Omega of the
   normalized L^s(Omega) norm of sup_j 1_{Omega_j} gamma_j, where Omega_j
   is the union of level-j rectangles inside Omega;
@@ -20,13 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import OpenSet, Window, block_lp, expand_mask, level_mask
-from .mixed_norms import NormSpec, iterated_norm
 from .weights import MatrixWeight, ReducingFamily, op_norm
 
 __all__ = [
     "MultiplierFamily", "rect_functional", "open_functional",
     "rect_truncated_functional", "acarl_functional", "weight_multipliers",
-    "embedding_ratio", "all_open_sets", "dyadic_omega_family",
+    "all_open_sets", "dyadic_omega_family",
 ]
 
 INF = math.inf
@@ -131,32 +130,3 @@ def weight_multipliers(V: MatrixWeight, fam: ReducingFamily,
         gammas[j] = op_norm(Aj @ V.inv_values) if dual \
             else op_norm(V.field.values @ np.linalg.inv(Aj))
     return MultiplierFamily(w, gammas)
-
-
-def random_level_constant(window: Window, levels, rng,
-                          log_range: float = 3.0):
-    """Random family f_j, each constant on level-j rectangles with i.i.d.
-    log-uniform magnitudes."""
-    out = {}
-    for j in levels:
-        coarse = 2.0 ** rng.uniform(-log_range, log_range,
-                                    window.coarse_shape(j))
-        out[j] = expand_mask(window, coarse, j)
-    return out
-
-
-def embedding_ratio(gamma: MultiplierFamily, spec: NormSpec,
-                    trials: int = 20, seed: int = 0) -> dict:
-    """Monte-Carlo ratios |{gamma_j f_j}|_X / |{f_j}|_X over random
-    level-constant families, in the spec's mixed norm."""
-    w = gamma.window
-    rng = np.random.default_rng(seed)
-    levels = sorted(gamma.gammas)
-    ratios = []
-    for _ in range(trials):
-        f = random_level_constant(w, levels, rng)
-        num = iterated_norm(w, {j: gamma.gammas[j] * f[j] for j in levels},
-                            spec.p, spec.q, spec.pi)
-        den = iterated_norm(w, f, spec.p, spec.q, spec.pi)
-        ratios.append(num / den)
-    return {"max": float(np.max(ratios)), "mean": float(np.mean(ratios))}

@@ -253,13 +253,14 @@ def cmd_maximal(args):
 def cmd_carleson(args):
     from .geometry import AxisSpec, Window
     from .carleson import (MultiplierFamily, all_open_sets,
-                           open_functional, rect_truncated_functional)
+                           open_functional, rect_functional,
+                           rect_truncated_functional)
     t0 = time.monotonic()
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg["seed"])
     axes = AxisSpec((1,))
     w = Window.unit(axes, (3,))
-    worst = 0.0
+    worst, rect_over = 0.0, 0.0
     oms = list(all_open_sets(w, max_cells=8))
     for _ in range(cfg.get("trials", 10)):
         gam = MultiplierFamily(
@@ -269,7 +270,10 @@ def cmd_carleson(args):
             a = open_functional(gam, s, oms)
             b = rect_truncated_functional(gam, s)
             worst = max(worst, abs(a - b) / b)
-    checks = {"open_vs_rect_identity_1e-12": worst < 1e-12}
+            # necessity: the rectangle functional never exceeds it
+            rect_over = max(rect_over, rect_functional(gam, s) / b)
+    checks = {"open_vs_rect_identity_1e-12": worst < 1e-12,
+              "rect_at_most_truncated": rect_over <= 1.0}
     return _finish(cfg["out"], "carleson", cfg, checks, t0,
                    {"max_identity_err": worst})
 
@@ -277,7 +281,8 @@ def cmd_carleson(args):
 def cmd_ad(args):
     from .geometry import AxisSpec, Window
     from .almost_diagonal import (ADParams, empirical_norm,
-                                  necessity_curve)
+                                  necessity_curve, necessity_witness,
+                                  sufficiency_check)
     from .mixed_norms import NormSpec, Permutation
     t0 = time.monotonic()
     cfg = _load_config(args)
@@ -290,8 +295,14 @@ def cmd_ad(args):
     curve = empirical_norm(params, spec, windows, trials=5, seed=seed)
     stable = max(curve) / min(curve) < 2.0
     rows = [("sufficient", J + 1, c) for J, c in enumerate(curve)]
-    checks = {"sufficient_curve_stable": bool(stable)}
+    checks = {"sufficient_curve_stable": bool(stable),
+              "sufficient_kernel_meets_thresholds":
+              sufficiency_check(params, spec, (1, 1)).all_ok}
     for kind in ("D", "E", "F"):
+        # the witness breaks its own threshold on axis 0 and no other
+        rep = sufficiency_check(*necessity_witness(kind)[:2], (1, 1))
+        checks[f"witness_{kind}_fails_only_{kind}"] = \
+            rep.failed == {(kind, 0)}
         pts, pred = necessity_curve(kind, [2, 4, 6], gap=1.0)
         x = np.log2([2 ** J for J, _ in pts])
         y = np.log2([r for _, r in pts])

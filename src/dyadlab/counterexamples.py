@@ -48,7 +48,7 @@ from .quilts import LevelDistribution, distribution_step
 
 __all__ = [
     "CASES", "CaseSpec", "RatioCurve", "generate", "measure",
-    "control_spec", "fit_slope", "interp_ratio",
+    "control_spec", "fit_slope",
 ]
 
 INF = math.inf
@@ -407,18 +407,6 @@ def _m_interp_fail(params, J):
     if q == INF:
         return float(vals.max()), 1.0
     return float((vals ** q).sum() ** (1 / q)), 1.0
-
-
-def interp_ratio(a: dict, s0: float, s1: float, theta: float,
-                 q: float) -> float:
-    """One-parameter intermediate-to-endpoints ratio for a coefficient
-    profile {j: a_j}; bounded by the min-of-geometrics constant whenever
-    s0 != s1."""
-    st = (1 - theta) * s0 + theta * s1
-    lhs = _lq([2.0 ** (j * st) * v for j, v in a.items()], q)
-    m0 = max(2.0 ** (j * s0) * v for j, v in a.items())
-    m1 = max(2.0 ** (j * s1) * v for j, v in a.items())
-    return lhs / (m0 ** (1 - theta) * m1 ** theta)
 
 
 def _ap_weight_window(params, J):

@@ -1,6 +1,6 @@
 """Exact geometry of dyadic rectangles on product domains R^{n_1} x ... x R^{n_k}.
 
-All measures, endpoints and overlaps are exact dyadic rationals
+All measures and endpoints are exact dyadic rationals
 (``fractions.Fraction``); only p-th roots and pointwise field values are
 floating point.  A :class:`Window` truncates the plane to a bounded dyadic
 rectangle with a fixed finest resolution, and every field is piecewise
@@ -16,8 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "AxisSpec", "DyadicRect", "GeneralRect", "Window", "OpenSet",
-    "PiecewiseField", "dilate", "integrate_over",
+    "AxisSpec", "DyadicRect", "Window", "OpenSet", "PiecewiseField",
     "block_reduce", "block_lp", "level_mask", "expand_mask", "rect_arrays",
 ]
 
@@ -93,48 +92,6 @@ class DyadicRect:
     def center(self) -> list[Fraction]:
         return [(lo + hi) / 2 for lo, hi in self.intervals()]
 
-    def contains_rect(self, other: "DyadicRect") -> bool:
-        return all(a <= c and d <= b
-                   for (a, b), (c, d) in zip(self.intervals(), other.intervals()))
-
-    def contains_point(self, x) -> bool:
-        return all(lo <= xi < hi for (lo, hi), xi in zip(self.intervals(), x))
-
-    def parent(self, i: int) -> "DyadicRect":
-        """The parent in parameter direction i (one level coarser)."""
-        levels = list(self.levels)
-        levels[i] -= 1
-        offs = [list(m) for m in self.offsets]
-        offs[i] = [m // 2 for m in self.offsets[i]]
-        return DyadicRect(self.axes, tuple(levels), tuple(tuple(m) for m in offs))
-
-
-@dataclass(frozen=True)
-class GeneralRect:
-    """Axis-parallel box with dyadic-rational endpoints (one per coordinate)."""
-    axes: AxisSpec
-    intervals_: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        if len(self.intervals_) != self.axes.total_dim:
-            raise ValueError("need one interval per flattened coordinate")
-        if any(hi <= lo for lo, hi in self.intervals_):
-            raise ValueError("empty box")
-
-    def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        return list(self.intervals_)
-
-    @property
-    def measure(self) -> Fraction:
-        m = Fraction(1)
-        for lo, hi in self.intervals_:
-            m *= hi - lo
-        return m
-
-    @classmethod
-    def from_dyadic(cls, R: DyadicRect) -> "GeneralRect":
-        return cls(R.axes, tuple(R.intervals()))
-
 
 # a list of dyadic rectangles as arrays, one row each (see rect_arrays)
 RectArrays = namedtuple("RectArrays", "axes levels offsets sides centers")
@@ -155,18 +112,6 @@ def rect_arrays(axes: AxisSpec, rects) -> RectArrays:
     return RectArrays(axes, levels, offsets.astype(np.int64),
                       np.ldexp(1.0, -levels),
                       np.ldexp(2.0 * offsets + 1.0, -coord_levels - 1))
-
-
-def dilate(R: DyadicRect, j: tuple[int, ...]) -> GeneralRect:
-    """Concentric dilation 2^j R: per-parameter scaling about the center."""
-    ivs = []
-    for i in range(R.axes.k):
-        half = R.side(i) * _pow2(j[i]) / 2
-        s = R.side(i)
-        for m in R.offsets[i]:
-            c = (m * s + (m + 1) * s) / 2
-            ivs.append((c - half, c + half))
-    return GeneralRect(R.axes, tuple(ivs))
 
 
 class Window:
@@ -208,13 +153,6 @@ class Window:
     @property
     def measure(self) -> Fraction:
         return self.bounds.measure
-
-    def coord_edges(self, axis: int) -> list[Fraction]:
-        """Cell edges along a flattened coordinate axis."""
-        i = self.axes.coord_param()[axis]
-        lo = self.bounds.intervals()[axis][0]
-        s = self.cell_side(i)
-        return [lo + t * s for t in range(self.shape[axis] + 1)]
 
     # -- level enumeration -------------------------------------------------
 
@@ -398,57 +336,3 @@ class PiecewiseField:
         if self.kind == "vector":
             return np.linalg.norm(self.values, axis=-1)
         return np.linalg.norm(self.values, ord=2, axis=(-2, -1))
-
-
-def _overlap_weights(window: Window, S) -> tuple[np.ndarray, Fraction]:
-    """Per-cell overlap fractions |cell cap S| / |S| (floats from exact
-    rationals), and the exact covered fraction |S cap window|/|S|."""
-    ivs = S.intervals()
-    per_axis = []
-    covered = Fraction(1)
-    for ax, (lo, hi) in enumerate(ivs):
-        edges = window.coord_edges(ax)
-        length = hi - lo
-        fracs = []
-        for c in range(window.shape[ax]):
-            a, b = edges[c], edges[c + 1]
-            ov = min(hi, b) - max(lo, a)
-            fracs.append(ov / length if ov > 0 else Fraction(0))
-        tot = sum(fracs)
-        covered *= tot
-        per_axis.append(np.array([float(f) for f in fracs]))
-    weights = per_axis[0]
-    for arr in per_axis[1:]:
-        weights = np.multiply.outer(weights, arr)
-    return weights, covered
-
-
-def integrate_over(f: PiecewiseField, S, p) -> float:
-    """Normalized quasi-norm (avg_S |f|^p)^{1/p}; p may be inf.
-
-    ``S`` is a dyadic rectangle, a general box, an :class:`OpenSet`, or
-    ``None`` for the whole window.  Cells partially covered by a box are
-    weighted by their exact rational overlap fraction.  Only the part of S
-    inside the window is seen (fields are undefined outside), but the
-    normalization uses the full |S|.
-    """
-    g = f.magnitude()
-    if S is None:
-        S = OpenSet.full(f.window)
-    if isinstance(S, OpenSet):
-        tot = int(S.mask.sum())
-        if tot == 0:
-            raise ValueError("empty set")
-        if p == np.inf:
-            return float(g[S.mask].max())
-        p = float(p)
-        return float((g[S.mask] ** p).sum() / tot) ** (1.0 / p)
-    if isinstance(S, DyadicRect):
-        S = GeneralRect.from_dyadic(S)
-    weights, covered = _overlap_weights(f.window, S)
-    if covered == 0:
-        raise ValueError("set does not intersect the window")
-    if p == np.inf:
-        return float(g[weights > 0].max())
-    p = float(p)
-    return float((weights * g ** p).sum()) ** (1.0 / p)

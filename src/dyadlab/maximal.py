@@ -1,9 +1,8 @@
-"""Dyadic maximal and averaging operators on lattice windows.
+"""Dyadic maximal operators on lattice windows.
 
-Covers the strong (all dyadic rectangles) and axiswise maximal operators,
-local L^p averaging, the matrix-weighted maximal operator, and its
-reducing-operator-valued version.  All suprema are exact over the finite
-window lattice.
+Covers the strong maximal operator (all dyadic rectangles), the
+matrix-weighted maximal operator, and its reducing-operator-valued
+version.  All suprema are exact over the finite window lattice.
 """
 from __future__ import annotations
 
@@ -15,8 +14,8 @@ from .geometry import PiecewiseField, block_lp, expand_mask
 from .weights import MatrixWeight, _balanced_fit, _unit_dirs
 
 __all__ = [
-    "MaximalResult", "avg_field", "strong_maximal", "axis_maximal",
-    "weighted_maximal", "reducing_maximal", "operator_norm_estimate",
+    "MaximalResult", "strong_maximal", "weighted_maximal",
+    "reducing_maximal", "operator_norm_estimate",
 ]
 
 @dataclass
@@ -24,14 +23,6 @@ class MaximalResult:
     field: PiecewiseField
     tag: str
     extra: dict = None
-
-
-def avg_field(f: PiecewiseField, j: tuple, p: float = 1.0) -> PiecewiseField:
-    """Local averaging: constant on each level-j rectangle, equal to the
-    normalized L^p norm of f there."""
-    w = f.window
-    coarse = block_lp(w, f.magnitude(), j, p)
-    return PiecewiseField(w, expand_mask(w, coarse, j))
 
 
 def strong_maximal(f: PiecewiseField, p: float = 1.0) -> MaximalResult:
@@ -43,18 +34,6 @@ def strong_maximal(f: PiecewiseField, p: float = 1.0) -> MaximalResult:
     for j in w.levels():
         np.maximum(out, expand_mask(w, block_lp(w, g, j, p), j), out=out)
     return MaximalResult(PiecewiseField(w, out), "strong")
-
-
-def axis_maximal(f: PiecewiseField, i: int, p: float = 1.0) -> MaximalResult:
-    """One-parameter maximal operator: only parameter i's level varies,
-    the others stay at the base-cell level."""
-    w = f.window
-    g = f.magnitude()
-    out = np.zeros(w.shape)
-    for ji in range(w.bounds.levels[i], w.j_max[i] + 1):
-        j = tuple(ji if a == i else w.j_max[a] for a in range(w.axes.k))
-        np.maximum(out, expand_mask(w, block_lp(w, g, j, p), j), out=out)
-    return MaximalResult(PiecewiseField(w, out), f"axis-{i}")
 
 
 def weighted_maximal(V: MatrixWeight, f: PiecewiseField,

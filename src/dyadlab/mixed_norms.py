@@ -1,5 +1,5 @@
 """Permuted iterated mixed quasi-norms (L^p l^q)_pi and the sequence-space
-quasi-norms built from them (open-set and rectangle-anchored variants).
+quasi-norms built from them.
 
 A mixed norm is an ordered "product" of k integral factors L^{p_i} (over the
 space variable of parameter i) and k sum factors l^{q_i} (over the level
@@ -19,8 +19,7 @@ from .geometry import (AxisSpec, DyadicRect, OpenSet, PiecewiseField, Window,
 
 __all__ = [
     "Permutation", "NormSpec", "CoeffSeq", "FieldFamily",
-    "admissibility", "iterated_norm", "alpha_norm", "a_norm",
-    "a_rect_norm", "tensor_seq",
+    "admissibility", "iterated_norm", "alpha_norm", "a_norm", "tensor_seq",
 ]
 
 INF = math.inf
@@ -259,36 +258,13 @@ class CoeffSeq:
 
 def a_norm(t: CoeffSeq, spec: NormSpec, window: Window,
            weight=None, level_weight=None) -> float:
-    """Sequence-space quasi-norm of t (open-set variant)."""
+    """Sequence-space quasi-norm of t: sup over spec.omega_family (the
+    whole window when tau = 0 or the family is empty) of |Omega|^{-tau}
+    x mixed norm of {1_{Omega_j} 2^{j.s} V t_j}.  With
+    every dyadic rectangle P of the window as the family it is the
+    rectangle-anchored norm: sup over P of |P|^{-tau} x mixed norm of
+    {1_P 2^{j.s} V t_j} over levels j >= j_P."""
     return alpha_norm(t.to_family(window), spec, weight, level_weight)
-
-
-def a_rect_norm(t: CoeffSeq, spec: NormSpec, window: Window,
-                weight=None, level_weight=None) -> float:
-    """Rectangle-anchored variant: sup over dyadic P of
-    |P|^{-tau} x mixed norm of {1_P 2^{j.s} V t_j} over levels j >= j_P."""
-    family = t.to_family(window)
-    mags = _weighted_magnitudes(family, weight, level_weight)
-    scaled = {j: (2.0 ** float(np.dot(j, spec.s))) * g for j, g in mags.items()}
-    best = 0.0
-    for jP in window.levels():
-        eligible = {j: g for j, g in scaled.items()
-                    if all(a >= b for a, b in zip(j, jP))}
-        if not eligible:
-            continue
-        for _, P in window.rects_at_level(jP):
-            sl = window.rect_slices(P)
-            vals = {}
-            for j, g in eligible.items():
-                cut = np.zeros_like(g)
-                cut[sl] = g[sl]
-                if cut.any():
-                    vals[j] = cut
-            if not vals:
-                continue
-            v = iterated_norm(window, vals, spec.p, spec.q, spec.pi)
-            best = max(best, float(P.measure) ** (-spec.tau) * v)
-    return best
 
 
 def tensor_seq(parts: list[CoeffSeq]) -> CoeffSeq:

@@ -17,11 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 from .geometry import AxisSpec, DyadicRect
 
 __all__ = [
@@ -29,7 +24,6 @@ __all__ = [
     "quilt_validate", "quilt_chi", "sigma_sequence", "sigma_float",
     "distribution_step", "enumerate_distribution", "moment_ratio",
     "moment_half_bounds", "sqrt_bounds", "lemma_step_check",
-    "quilt_lift_nd",
 ]
 
 AX2 = AxisSpec((1, 1))
@@ -137,22 +131,23 @@ def sigma_float(n_max: int, dps: int = 50):
 @dataclass
 class LevelDistribution:
     """Law of the overlap count: support point -> exact probability."""
-    probs: dict = field(default_factory=lambda: {1: _Q(1)})
+    probs: dict = field(default_factory=lambda: {1: Fraction(1)})
 
     def mass(self, k):
-        return self.probs.get(k, _Q(0))
+        return self.probs.get(k, Fraction(0))
 
     @property
     def p_pos(self):
-        return sum((p for k, p in self.probs.items() if k != 0), _Q(0))
+        return sum((p for k, p in self.probs.items() if k != 0), Fraction(0))
 
     @property
     def total(self):
-        return sum(self.probs.values(), _Q(0))
+        return sum(self.probs.values(), Fraction(0))
 
     @property
     def mean(self):
-        return sum((_Q(k) * p for k, p in self.probs.items()), _Q(0))
+        return sum((Fraction(k) * p for k, p in self.probs.items()),
+                   Fraction(0))
 
 
 def distribution_step(mu: LevelDistribution, cap: int = None,
@@ -170,10 +165,10 @@ def distribution_step(mu: LevelDistribution, cap: int = None,
     """
     if (cap is None) != (quantum_bits is None):
         raise ValueError("give both cap and quantum_bits, or neither")
-    half = _Q(1, 2)
+    half = Fraction(1, 2)
     nu = {0: half}
     for k, p in mu.probs.items():
-        nu[k] = nu.get(k, _Q(0)) + half * p
+        nu[k] = nu.get(k, Fraction(0)) + half * p
     conv = _square_law(nu)
     if cap is not None:
         conv = _coarsen(conv, cap, quantum_bits)
@@ -191,67 +186,60 @@ def _square_law(nu: dict) -> dict:
     for i, (k1, p1) in enumerate(items):
         for k2, p2 in items[i:]:
             w = p1 * p2 if k1 == k2 else 2 * p1 * p2
-            conv[k1 + k2] = conv.get(k1 + k2, _Q(0)) + w
+            conv[k1 + k2] = conv.get(k1 + k2, Fraction(0)) + w
     return conv
 
 
 def _pow2_denom(p) -> bool:
-    d = int(p.denominator)
-    return d & (d - 1) == 0
+    return p.denominator & (p.denominator - 1) == 0
 
 
 def _square_law_kronecker(nu: dict) -> dict:
     """Exact polynomial squaring via packing the numerators into one big
     integer (dyadic denominators only); one multiply instead of S^2."""
-    try:
-        from gmpy2 import mpz
-    except ImportError:  # pragma: no cover
-        mpz = int
-    dm = max(int(p.denominator).bit_length() - 1 for p in nu.values())
+    dm = max(p.denominator.bit_length() - 1 for p in nu.values())
     S = max(nu)
     B = 2 * dm + (S + 1).bit_length() + 1
-    X = mpz(0)
+    X = 0
     for k, p in nu.items():
-        X += mpz(int(p.numerator) << (dm - (int(p.denominator)
-                                            .bit_length() - 1))) << (k * B)
+        X += p.numerator << (dm - (p.denominator.bit_length() - 1)) << (k * B)
     Y = X * X
-    mask = (mpz(1) << B) - 1
+    mask = (1 << B) - 1
     den = 1 << (2 * dm)
     out = {}
     for k in range(2 * S + 1):
         c = (Y >> (k * B)) & mask
         if c:
-            out[k] = _Q(int(c), den)
+            out[k] = Fraction(c, den)
     return out
 
 
 def _coarsen(probs: dict, cap: int, quantum_bits: int) -> dict:
-    tail_mass = _Q(0)
-    tail_mean = _Q(0)
+    tail_mass = Fraction(0)
+    tail_mean = Fraction(0)
     kept = {}
     for k, p in probs.items():
         if k != 0 and k > cap:
             tail_mass += p
-            tail_mean += _Q(k) * p
+            tail_mean += Fraction(k) * p
         else:
             kept[k] = p
     denom = 2 ** quantum_bits
-    lost_mass = _Q(0)
-    lost_mean = _Q(0)
+    lost_mass = Fraction(0)
+    lost_mean = Fraction(0)
     out = {}
     for k, p in kept.items():
-        fl = _Q(int(p.numerator) * denom // int(p.denominator), denom)
+        fl = Fraction(p.numerator * denom // p.denominator, denom)
         lost_mass += p - fl
-        lost_mean += _Q(k) * (p - fl)
+        lost_mean += Fraction(k) * (p - fl)
         if fl > 0:
             out[k] = fl
     tail_mass += lost_mass
     tail_mean += lost_mean
     if tail_mass > 0:
         kstar = tail_mean / tail_mass
-        kstar = int(kstar) if kstar == int(kstar) else Fraction(
-            int(kstar.numerator), int(kstar.denominator))
-        out[kstar] = out.get(kstar, _Q(0)) + tail_mass
+        kstar = int(kstar) if kstar.denominator == 1 else kstar
+        out[kstar] = out.get(kstar, Fraction(0)) + tail_mass
     return out
 
 
@@ -261,7 +249,7 @@ def enumerate_distribution(q: Quilt) -> LevelDistribution:
     chi = quilt_chi(q)
     size = chi.size
     ks, counts = np.unique(chi, return_counts=True)
-    return LevelDistribution({int(k): _Q(int(c), size)
+    return LevelDistribution({int(k): Fraction(int(c), size)
                               for k, c in zip(ks, counts)})
 
 
@@ -289,7 +277,6 @@ def moment_half_bounds(mu: LevelDistribution,
         if k == 0:
             continue
         slo, shi = sqrt_bounds(k, bits)
-        p = Fraction(int(p.numerator), int(p.denominator))
         lo += p * slo
         hi += p * shi
     return lo, hi
@@ -303,7 +290,6 @@ def _sqrt2_moment(mu: LevelDistribution):
     for k, p in mu.probs.items():
         if not isinstance(k, int) or k < 0:
             return None
-        p = Fraction(int(p.numerator), int(p.denominator))
         a = math.isqrt(k)
         if a * a == k:
             x += p * a
@@ -356,8 +342,7 @@ def lemma_step_check(mu: LevelDistribution, nxt: LevelDistribution,
     enclosures of the square roots, with an exact Q(sqrt 2) comparison
     when every support point is a^2 or 2 a^2; "undecided" only if the
     enclosure is too coarse (raise bits)."""
-    Pf = Fraction(int(mu.p_pos.numerator), int(mu.p_pos.denominator))
-    Pg = Fraction(int(nxt.p_pos.numerator), int(nxt.p_pos.denominator))
+    Pf, Pg = mu.p_pos, nxt.p_pos
     Ef = moment_half_bounds(mu, bits)
     Eg = moment_half_bounds(nxt, bits)
     r2 = sqrt_bounds(2, bits)
@@ -404,33 +389,3 @@ def lemma_step_check(mu: LevelDistribution, nxt: LevelDistribution,
     literal = ratio_verdict(fl_lo, fl_hi, (1 - Pf / 3, Pf / 3))
 
     return {"drop": drop, "ratio": ratio, "ratio_literal": literal}
-
-
-def quilt_lift_nd(q: Quilt, dims: tuple[int, ...]) -> list[DyadicRect]:
-    """Lift a planar quilt to [0,1)^{n1} x ... x [0,1)^{nk}: each planar
-    rectangle I1 x I2 becomes the family (I1 x Q1) x (I2 x Q2) x full
-    boxes, over all dyadic cubes Q_v of edge |I_v|.  Total measure,
-    coverage, and all L^p overlap statistics are preserved."""
-    if len(dims) < 2:
-        raise ValueError("need at least two parameters")
-    axes = AxisSpec(tuple(dims))
-    out = []
-    for R in q.rects:
-        j1, j2 = R.levels
-        grids1 = _cube_offsets(j1, dims[0] - 1)
-        grids2 = _cube_offsets(j2, dims[1] - 1)
-        for g1 in grids1:
-            for g2 in grids2:
-                levels = (j1, j2) + (0,) * (len(dims) - 2)
-                offs = ((R.offsets[0][0],) + g1,
-                        (R.offsets[1][0],) + g2)
-                offs = offs + tuple((0,) * d for d in dims[2:])
-                out.append(DyadicRect(axes, levels, offs))
-    return out
-
-
-def _cube_offsets(level: int, extra_dims: int):
-    if extra_dims == 0:
-        return [()]
-    import itertools
-    return list(itertools.product(range(2 ** level), repeat=extra_dims))

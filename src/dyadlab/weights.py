@@ -1,6 +1,5 @@
-"""Matrix weights: reducing operators, two-variable A_p constants, dilated
-constants and dimension fits, doubling and reverse-Holder checks, geometric
-means, and the Sobolev-embedding condition constant.
+"""Matrix weights: reducing operators, two-variable A_p constants, doubling
+checks and geometric means.
 
 A weight is an SPD-matrix-valued piecewise-constant field.  All averages over
 dyadic rectangles are uniform cell means (cells inside a dyadic rectangle all
@@ -13,16 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DyadicRect, GeneralRect, PiecewiseField, Window,
-                       _overlap_weights, dilate, expand_mask, rect_arrays)
+from .geometry import (DyadicRect, PiecewiseField, Window, expand_mask,
+                       rect_arrays)
 
 __all__ = [
-    "MatrixWeight", "ReducingFamily", "ApReport", "ApDimFit",
+    "MatrixWeight", "ReducingFamily", "ApReport",
     "conjugate", "op_norm", "spd_power", "random_spd_field",
     "lp_seminorm", "reduce_exact_p2", "reduce_general", "mvee",
     "reducing_family", "two_variable_norm", "ap_constant", "diag_pairs",
-    "ap_dilated_constant", "fit_ap_dimensions", "doubling_check",
-    "rhi_constant", "geometric_mean", "sobolev_condition_constant",
+    "doubling_check", "geometric_mean",
 ]
 
 INF = math.inf
@@ -105,11 +103,6 @@ def _cells_and_weights(V: MatrixWeight, S):
         sub = V.field.values[sl].reshape(-1, m, m)
         w = np.full(sub.shape[0], 1.0 / sub.shape[0])
         return sub, w
-    if isinstance(S, GeneralRect):
-        wts, _ = _overlap_weights(V.window, S)
-        flat = wts.reshape(-1)
-        keep = flat > 0
-        return vals[keep], flat[keep] / flat.sum()
     raise TypeError(f"unsupported region {type(S).__name__}")
 
 
@@ -279,114 +272,28 @@ class ApReport:
     constant: float
     witness: tuple
     p: float
-    tag: str
 
 
-def _pair_norm(V: MatrixWeight, Vinv: MatrixWeight, P, R, p: float,
-               q: float = None) -> float:
-    outer = p if q is None else q
-    Ac, aw = _cells_and_weights(V, P)
-    Bc, bw = _cells_and_weights(Vinv, R)
-    return two_variable_norm(Ac, aw, Bc, bw, outer, conjugate(p))
-
-
-def ap_constant(V: MatrixWeight, p: float, pairs, q: float = None) -> ApReport:
+def ap_constant(V: MatrixWeight, p: float, pairs) -> ApReport:
     """sup over rectangle pairs (P, R) of the two-variable norm of
-    V(x)V^{-1}(y): outer L^p in x over P, inner L^{p'} in y over R.
-
-    With q set, the outer exponent is q instead (the (p, q) off-diagonal
-    class used by Sobolev embeddings)."""
+    V(x)V^{-1}(y): outer L^p in x over P, inner L^{p'} in y over R."""
     pairs = list(pairs)
     if not pairs:
         raise ValueError("empty pair family")
     best, wit = -INF, None
     Vinv = V.inverse()
     for P, R in pairs:
-        c = _pair_norm(V, Vinv, P, R, p, q)
+        Ac, aw = _cells_and_weights(V, P)
+        Bc, bw = _cells_and_weights(Vinv, R)
+        c = two_variable_norm(Ac, aw, Bc, bw, p, conjugate(p))
         if c > best:
             best, wit = c, (P, R)
-    tag = "Apq" if q is not None else "Rect2"
-    return ApReport(best, wit, p, tag)
+    return ApReport(best, wit, p)
 
 
 def diag_pairs(window: Window):
     """(R, R) over every dyadic rectangle of the window."""
     return [(R, R) for R in window.rects()]
-
-
-def ap_dilated_constant(V: MatrixWeight, p: float, j: tuple) -> ApReport:
-    """sup over rectangles R of the pair norm on (R, 2^j R), the dilate
-    clipped to the window."""
-    window = V.window
-    wb = GeneralRect.from_dyadic(window.bounds)
-    best, wit, clipped = -INF, None, False
-    Vinv = V.inverse()
-    for R in window.rects():
-        D = dilate(R, j)
-        ivs = []
-        for (lo, hi), (wlo, whi) in zip(D.intervals(), wb.intervals()):
-            lo2, hi2 = max(lo, wlo), min(hi, whi)
-            if lo2 != lo or hi2 != hi:
-                clipped = True
-            if lo2 >= hi2:
-                ivs = None
-                break
-            ivs.append((lo2, hi2))
-        if ivs is None:
-            continue
-        c = _pair_norm(V, Vinv, R, GeneralRect(window.axes, tuple(ivs)), p)
-        if c > best:
-            best, wit = c, (R, j)
-    if wit is None:
-        raise ValueError("all dilated rectangles escape the window")
-    tag = "Rect2_dilated" + ("_clipped" if clipped else "")
-    return ApReport(best, wit, p, tag)
-
-
-@dataclass
-class ApDimFit:
-    d: np.ndarray
-    e: np.ndarray
-    delta: np.ndarray
-    residuals: np.ndarray
-    in_range: bool
-
-
-def _axis_slope(V: MatrixWeight, p: float, axis: int, ts) -> tuple:
-    k = V.window.axes.k
-    xs, ys = [], []
-    for t in ts:
-        j = tuple(t if i == axis else 0 for i in range(k))
-        c = ap_dilated_constant(V, p, j).constant
-        xs.append(t)
-        ys.append(p * math.log2(c) if p != INF else math.log2(c))
-    A = np.vstack([xs, np.ones(len(xs))]).T
-    sol, res, *_ = np.linalg.lstsq(A, np.array(ys), rcond=None)
-    resid = float(res[0]) if len(res) else 0.0
-    return float(sol[0]), resid
-
-
-def fit_ap_dimensions(V: MatrixWeight, p: float, ts) -> ApDimFit:
-    """Per-axis least-squares growth exponents of the dilated constants:
-    d from V at p, e from V^{-1} at p' (zero when p <= 1)."""
-    ts = list(ts)
-    if len(ts) < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    k = V.window.axes.k
-    d = np.zeros(k)
-    e = np.zeros(k)
-    res = np.zeros((k, 2))
-    pp = conjugate(p)
-    Vinv = V.inverse()
-    for i in range(k):
-        d[i], res[i, 0] = _axis_slope(V, p, i, ts)
-        if p > 1:
-            e[i], res[i, 1] = _axis_slope(Vinv, pp, i, ts)
-    delta = d / p + (e / pp if pp != INF else 0.0 * e)
-    n = np.array(V.window.axes.dims, dtype=float)
-    in_range = bool(np.all(d >= -1e-9) and np.all(d < n + 1e-9)
-                    and np.all(e >= -1e-9) and np.all(e < n + 1e-9))
-    return ApDimFit(d, e, delta, res, in_range)
 
 
 def doubling_check(fam: ReducingFamily, *, strong=None, weak=None) -> float:
@@ -422,24 +329,6 @@ def doubling_check(fam: ReducingFamily, *, strong=None, weak=None) -> float:
     return float(np.max(val / bound))
 
 
-def rhi_constant(V: MatrixWeight, p: float, s: float, rects,
-                 rng=None) -> float:
-    """Reverse-Holder ratio: sup over rectangles and directions of the
-    L^s/L^p seminorm quotient (0/0 := 0)."""
-    if s < p:
-        raise ValueError("need s >= p")
-    rng = np.random.default_rng(0) if rng is None else rng
-    dirs = _unit_dirs(V.m, 64, rng)
-    best = 0.0
-    for R in rects:
-        hi = lp_seminorm(V, R, s, dirs)
-        lo = lp_seminorm(V, R, p, dirs)
-        mask = hi > 0
-        if mask.any():
-            best = max(best, float((hi[mask] / lo[mask]).max()))
-    return best
-
-
 def geometric_mean(A: np.ndarray, B: np.ndarray, theta: float) -> np.ndarray:
     """A #_theta B = A^{1/2} (A^{-1/2} B A^{-1/2})^theta A^{1/2}."""
     if not 0 <= theta <= 1:
@@ -447,26 +336,3 @@ def geometric_mean(A: np.ndarray, B: np.ndarray, theta: float) -> np.ndarray:
     Ah = spd_power(A, 0.5)
     Aih = spd_power(A, -0.5)
     return Ah @ spd_power(Aih @ B @ Aih, theta) @ Ah
-
-
-def sobolev_condition_constant(V0: MatrixWeight, V1: MatrixWeight,
-                               p0: float, p1: float, s0, s1,
-                               rects, rng=None) -> float:
-    """Smallest C with 2^{jP.(s1 - n/p1)} |V1 z|_{Lp1(P)} <=
-    C 2^{jP.(s0 - n/p0)} |V0 z|_{Lp0(P)} over the family and directions."""
-    if not p0 < p1:
-        raise ValueError("need p0 < p1")
-    rng = np.random.default_rng(0) if rng is None else rng
-    dirs = _unit_dirs(V1.m, 64, rng)
-    n = np.array(V0.window.axes.dims, dtype=float)
-    s0 = np.asarray(s0, dtype=float)
-    s1 = np.asarray(s1, dtype=float)
-    best = 0.0
-    for P in rects:
-        jP = np.array(P.levels, dtype=float)
-        lhs = 2.0 ** float(jP @ (s1 - n / p1)) * lp_seminorm(V1, P, p1, dirs)
-        rhs = 2.0 ** float(jP @ (s0 - n / p0)) * lp_seminorm(V0, P, p0, dirs)
-        mask = lhs > 0
-        if mask.any():
-            best = max(best, float((lhs[mask] / rhs[mask]).max()))
-    return best

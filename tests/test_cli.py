@@ -12,6 +12,23 @@ def _read(path):
         return json.load(fh)
 
 
+def _run(tmp_path_factory, argv):
+    """Exit code and manifest of one subcommand run in a fresh directory."""
+    out = str(tmp_path_factory.mktemp(argv[0]))
+    rc = main([*argv, "--out", out])
+    return rc, _read(os.path.join(out, f"manifest_{argv[0]}.json"))
+
+
+@pytest.fixture(scope="module")
+def carleson_run(tmp_path_factory):
+    return _run(tmp_path_factory, ["carleson", "--trials", "3"])
+
+
+@pytest.fixture(scope="module")
+def ad_run(tmp_path_factory):
+    return _run(tmp_path_factory, ["ad"])
+
+
 class TestSubcommands:
     def test_quilt(self, tmp_path):
         out = str(tmp_path)
@@ -46,17 +63,25 @@ class TestSubcommands:
         man = _read(os.path.join(out, "manifest_maximal.json"))
         assert all(man["checks"].values())
 
-    def test_carleson(self, tmp_path):
-        out = str(tmp_path)
-        assert main(["carleson", "--trials", "3", "--out", out]) == 0
-        man = _read(os.path.join(out, "manifest_carleson.json"))
+    def test_carleson(self, carleson_run):
+        rc, man = carleson_run
+        assert rc == 0
         assert all(man["checks"].values())
 
-    def test_ad(self, tmp_path):
-        out = str(tmp_path)
-        assert main(["ad", "--out", out]) == 0
-        man = _read(os.path.join(out, "manifest_ad.json"))
+    def test_carleson_checks_rect_necessity(self, carleson_run):
+        _, man = carleson_run
+        assert man["checks"]["rect_at_most_truncated"] is True
+
+    def test_ad(self, ad_run):
+        rc, man = ad_run
+        assert rc == 0
         assert all(man["checks"].values())
+
+    def test_ad_checks_thresholds(self, ad_run):
+        _, man = ad_run
+        names = ["sufficient_kernel_meets_thresholds",
+                 *(f"witness_{k}_fails_only_{k}" for k in "DEF")]
+        assert [man["checks"].get(n) for n in names] == [True] * 4
 
     def test_counterexample(self, tmp_path):
         out = str(tmp_path)

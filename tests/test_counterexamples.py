@@ -8,7 +8,7 @@ from dyadlab.carleson import (MultiplierFamily, all_open_sets,
                               open_functional, rect_functional)
 from dyadlab.counterexamples import (CASES, CaseSpec, RatioCurve,
                                      control_spec, fit_slope, generate,
-                                     interp_ratio, measure, predicted_slope)
+                                     measure, predicted_slope)
 from dyadlab.maximal import strong_maximal
 from dyadlab.mixed_norms import Permutation, iterated_norm
 from dyadlab.geometry import PiecewiseField
@@ -260,14 +260,3 @@ class TestMeasuredCurves:
         assert all(den == 1.0 for _, _, den in curve.points)
         rs = [r for _, r in curve.ratios]
         assert rs[1] > 1.5 * rs[0]
-
-
-class TestInterpRatio:
-    def test_single_parameter_bounded(self):
-        a = {j: 2.0 ** (-abs(j)) for j in range(-6, 7)}
-        r = interp_ratio(a, 0.0, 1.0, 0.5, 2.0)
-        assert r <= 6.0
-
-    def test_spike_is_tight(self):
-        r = interp_ratio({3: 1.0}, 0.0, 1.0, 0.5, 2.0)
-        assert r == pytest.approx(1.0)

@@ -8,9 +8,41 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.geometry import (AxisSpec, DyadicRect, OpenSet,
-                              PiecewiseField, Window, block_lp, dilate,
-                              integrate_over, level_mask, rect_arrays)
+                              PiecewiseField, Window, block_lp, level_mask,
+                              rect_arrays)
 from dyadlab.mixed_norms import CoeffSeq
+
+
+def _overlap_weights(window, R):
+    """Per-cell overlap fractions |cell cap R| / |R| of a dyadic rectangle
+    (floats from exact rationals)."""
+    per_axis = []
+    for ax, ((lo, hi), (wlo, _)) in enumerate(zip(
+            R.intervals(), window.bounds.intervals())):
+        side = window.cell_side(window.axes.coord_param()[ax])
+        fracs = []
+        for c in range(window.shape[ax]):
+            ov = min(hi, wlo + (c + 1) * side) - max(lo, wlo + c * side)
+            fracs.append(float(ov / (hi - lo)) if ov > 0 else 0.0)
+        per_axis.append(np.array(fracs))
+    weights = per_axis[0]
+    for arr in per_axis[1:]:
+        weights = np.multiply.outer(weights, arr)
+    return weights
+
+
+def integrate_over(f, R, p):
+    """Normalized quasi-norm (avg_R |f|^p)^{1/p} over a dyadic rectangle,
+    or the whole window when R is None, with every cell weighted by its
+    exact overlap fraction; p may be inf.  The oracle for block_lp."""
+    g = f.magnitude()
+    if R is None:
+        weights = np.full(g.shape, 1.0 / g.size)
+    else:
+        weights = _overlap_weights(f.window, R)
+    if p == math.inf:
+        return float(g[weights > 0].max())
+    return float((weights * g ** p).sum()) ** (1.0 / p)
 
 
 class TestMeasure:
@@ -31,26 +63,6 @@ class TestMeasure:
         axes = AxisSpec((1, 1))
         R = DyadicRect(axes, (j1, j2), ((0,), (0,)))
         assert R.measure == Fraction(1, 2 ** (j1 + j2))
-
-
-class TestDilate:
-    def test_zero_is_identity(self, axes1):
-        R = DyadicRect(axes1, (2,), ((1,),))
-        D = dilate(R, (0,))
-        assert D.intervals() == R.intervals()
-
-    def test_unit_interval_doubling(self, axes1):
-        R = DyadicRect(axes1, (0,), ((0,),))
-        D = dilate(R, (1,))
-        (lo, hi), = D.intervals()
-        assert (lo, hi) == (Fraction(-1, 2), Fraction(3, 2))
-
-    @given(j=st.integers(0, 4))
-    def test_measure_scaling(self, j):
-        axes = AxisSpec((1,))
-        R = DyadicRect(axes, (2,), ((3,),))
-        D = dilate(R, (j,))
-        assert D.measure == 2 ** j * R.measure
 
 
 class TestOpenSets:

@@ -1,36 +1,16 @@
-"""Dyadic maximal and averaging operators."""
+"""Dyadic maximal operators."""
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.geometry import AxisSpec, PiecewiseField, Window
-from dyadlab.maximal import (avg_field, axis_maximal, operator_norm_estimate,
-                             reducing_maximal, strong_maximal,
-                             weighted_maximal)
+from dyadlab.maximal import (operator_norm_estimate, reducing_maximal,
+                             strong_maximal, weighted_maximal)
 from dyadlab.weights import MatrixWeight, random_spd_field
 
 INF = math.inf
-
-
-class TestAvgField:
-    def test_constant(self, w1):
-        f = PiecewiseField(w1, 1.5 * np.ones(w1.shape))
-        for p in (0.5, 1.0, 2.0, INF):
-            g = avg_field(f, (0,), p)
-            assert np.allclose(g.values, 1.5)
-
-    def test_halves(self, w1):
-        f = PiecewiseField(w1, np.array([4.0, 0.0, 0.0, 0.0]))
-        g = avg_field(f, (1,), 1.0)
-        assert np.allclose(g.values, [2.0, 2.0, 0.0, 0.0])
-
-    def test_sup_average(self, w1):
-        f = PiecewiseField(w1, np.array([4.0, 1.0, 0.0, 0.0]))
-        g = avg_field(f, (1,), INF)
-        assert np.allclose(g.values, [4.0, 4.0, 0.0, 0.0])
 
 
 class TestStrongMaximal:
@@ -70,24 +50,6 @@ class TestStrongMaximal:
         a = strong_maximal(f, lo).field.values
         b = strong_maximal(f, hi).field.values
         assert (a <= b + 1e-10).all()
-
-
-class TestAxisMaximal:
-    def test_strong_below_iterated(self, w2, rng):
-        f = PiecewiseField(w2, np.abs(rng.standard_normal(w2.shape)))
-        inner = axis_maximal(f, 1, 1.0).field
-        outer = axis_maximal(inner, 0, 1.0).field.values
-        strong = strong_maximal(f, 1.0).field.values
-        assert (strong <= outer + 1e-12).all()
-
-    def test_one_axis_only(self, w2):
-        vals = np.zeros((4, 4))
-        vals[0, 0] = 1.0
-        f = PiecewiseField(w2, vals)
-        got = axis_maximal(f, 0, 1.0).field.values
-        # rows average along axis 0 only; other columns never see mass
-        assert np.allclose(got[:, 1:], 0.0)
-        assert np.allclose(got[:, 0], [1.0, 0.5, 0.25, 0.25])
 
 
 class TestWeightedMaximal:

@@ -1,6 +1,6 @@
 """Iterated mixed norms, admissibility, sequence-space quasi-norms."""
+import dataclasses
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dyadlab.almost_diagonal import ADParams, apply_ad, random_coeff_seq
+from dyadlab.carleson import dyadic_omega_family
 from dyadlab.geometry import (AxisSpec, DyadicRect, OpenSet, Window)
 from dyadlab.mixed_norms import (CoeffSeq, NormSpec, Permutation,
-                                 a_norm, a_rect_norm, admissibility,
+                                 _weighted_magnitudes, a_norm, admissibility,
                                  iterated_norm, tensor_seq)
+from dyadlab.weights import random_spd_field, reducing_family
 
 INF = math.inf
 
@@ -119,7 +121,65 @@ class TestANorm:
         spec = NormSpec((0.0,), 0.0, (1.0,), (1.0,), Permutation.besov(1))
         # at tau = 0 the open-set variant is the plain norm, which
         # dominates every rectangle-localized value
-        assert a_rect_norm(t, spec, w) <= a_norm(t, spec, w) + 1e-12
+        assert _a_rect_norm_loop(t, spec, w) <= a_norm(t, spec, w) + 1e-12
+
+
+def _a_rect_norm_loop(t, spec, window, level_weight=None):
+    """The rectangle-anchored norm as a loop over dyadic P: sup of
+    |P|^{-tau} x mixed norm of {1_P 2^{j.s} V t_j} over levels j >= j_P."""
+    mags = _weighted_magnitudes(t.to_family(window), None, level_weight)
+    scaled = {j: (2.0 ** float(np.dot(j, spec.s))) * g
+              for j, g in mags.items()}
+    best = 0.0
+    for jP in window.levels():
+        eligible = {j: g for j, g in scaled.items()
+                    if all(a >= b for a, b in zip(j, jP))}
+        for _, P in window.rects_at_level(jP):
+            sl = window.rect_slices(P)
+            vals = {}
+            for j, g in eligible.items():
+                cut = np.zeros_like(g)
+                cut[sl] = g[sl]
+                if cut.any():
+                    vals[j] = cut
+            v = iterated_norm(window, vals, spec.p, spec.q, spec.pi)
+            best = max(best, float(P.measure) ** (-spec.tau) * v)
+    return best
+
+
+def _rect_anchored(spec, window):
+    """spec with every dyadic rectangle of the window as its Omega-family."""
+    return dataclasses.replace(
+        spec, omega_family=tuple(dyadic_omega_family(window)))
+
+
+class TestRectAnchored:
+    """a_norm over every dyadic rectangle of the window is the
+    rectangle-anchored norm."""
+
+    @pytest.mark.parametrize("dims,levels,j_max", [
+        ((1,), (0,), (3,)), ((1,), (-1,), (1,)), ((1, 1), (0, 0), (2, 2)),
+        ((1, 1), (0, -1), (1, 1)), ((2,), (0,), (1,))])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("tau", [0.0, 0.25, 0.5])
+    def test_matches_rectangle_loop(self, dims, levels, j_max, m, tau):
+        axes = AxisSpec(dims)
+        w = Window(DyadicRect(axes, levels, tuple((0,) * n for n in dims)),
+                   j_max)
+        rng = np.random.default_rng(len(dims) * 100 + sum(j_max) * 10 + m)
+        lw = None
+        if m == 2:
+            V = random_spd_field(w, m, rng)
+            lw = reducing_family(V, list(w.levels())).level_weight(w)
+        t = random_coeff_seq(w, rng, per_level=2, m=m)
+        k = axes.k
+        for p, q in [(1.5, 2.0), (INF, 0.5), (1.0, INF)]:
+            for pi in (Permutation.besov(k), Permutation.tl(k)):
+                spec = NormSpec((0.5, -0.25)[:k], tau, (p,) * k, (q,) * k,
+                                pi)
+                assert a_norm(t, _rect_anchored(spec, w), w,
+                              level_weight=lw) == \
+                    _a_rect_norm_loop(t, spec, w, level_weight=lw)
 
 
 def _to_family_loop(t, window):
@@ -248,5 +308,5 @@ class TestQuiltGap:
                         Permutation.besov(2), (union,))
         sigma = float(union.measure) / float(w.measure)
         assert sigma == pytest.approx(39 / 64)
-        assert a_rect_norm(t, spec, w) <= 1.0 + 1e-9
+        assert a_norm(t, _rect_anchored(spec, w), w) <= 1.0 + 1e-9
         assert a_norm(t, spec, w) >= sigma ** -tau - 1e-9

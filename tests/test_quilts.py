@@ -1,17 +1,15 @@
-"""Quilt refinement, coverage recursion, overlap laws, lifts."""
+"""Quilt refinement, coverage recursion, overlap laws."""
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from dyadlab.geometry import AxisSpec, DyadicRect
 from dyadlab.quilts import (LevelDistribution, Quilt, distribution_step,
                             enumerate_distribution, lemma_step_check,
-                            moment_half_bounds, moment_ratio, quilt_chi,
-                            quilt_lift_nd, quilt_refine, quilt_validate,
-                            sigma_float, sigma_sequence, sqrt_bounds,
-                            unit_quilt)
+                            moment_half_bounds, moment_ratio, quilt_refine,
+                            quilt_validate, sigma_float, sigma_sequence,
+                            sqrt_bounds, unit_quilt)
 
 AX2 = AxisSpec((1, 1))
 
@@ -136,51 +134,3 @@ class TestRationalBounds:
         assert second["ratio"] in ("holds", "equality")
         # the simpler stated factor overshoots once coverage drops below 1
         assert second["ratio_literal"] == "fails"
-
-
-class TestLift:
-    def test_planar_lift_is_identity(self):
-        q = quilt_refine(unit_quilt())
-        lifted = quilt_lift_nd(q, (1, 1))
-        assert {(R.levels[:2], (R.offsets[0][0], R.offsets[1][0]))
-                for R in lifted} == \
-            {(R.levels, (R.offsets[0][0], R.offsets[1][0]))
-             for R in q.rects}
-
-    @pytest.mark.parametrize("dims", [(2, 1), (1, 2), (2, 2), (1, 1, 2)])
-    def test_measure_preserved(self, dims):
-        q = quilt_refine(quilt_refine(unit_quilt()))
-        lifted = quilt_lift_nd(q, dims)
-        total = sum((R.measure for R in lifted), Fraction(0))
-        assert total == 1
-
-    def test_count_formula(self):
-        q = quilt_refine(unit_quilt())
-        lifted = quilt_lift_nd(q, (2, 1))
-        # planar rect (j1, j2) spawns 2^j1 copies along the extra dim
-        want = sum(2 ** R.levels[0] for R in q.rects)
-        assert len(lifted) == want
-
-    def test_overlap_statistics_preserved(self):
-        q = quilt_refine(quilt_refine(unit_quilt()))
-        lifted = quilt_lift_nd(q, (2, 1))
-        # finest-grid overlap counts have the same distribution
-        N1 = max(R.levels[0] for R in lifted)
-        N2 = max(R.levels[1] for R in lifted)
-        chi = np.zeros((2 ** N1, 2 ** N1, 2 ** N2), dtype=int)
-        for R in lifted:
-            f1 = 2 ** (N1 - R.levels[0])
-            f2 = 2 ** (N2 - R.levels[1])
-            o = R.offsets
-            chi[o[0][0] * f1:(o[0][0] + 1) * f1,
-                o[0][1] * f1:(o[0][1] + 1) * f1,
-                o[1][0] * f2:(o[1][0] + 1) * f2] += 1
-        base = quilt_chi(q)
-        ks, cs = np.unique(base, return_counts=True)
-        ks2, cs2 = np.unique(chi, return_counts=True)
-        assert list(ks) == list(ks2)
-        assert np.allclose(cs / base.size, cs2 / chi.size)
-
-    def test_rejects_single_parameter(self):
-        with pytest.raises(ValueError):
-            quilt_lift_nd(unit_quilt(), (2,))

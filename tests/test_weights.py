@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 from dyadlab import weights
 from dyadlab.geometry import AxisSpec, DyadicRect, PiecewiseField, Window
 from dyadlab.maximal import reducing_maximal, strong_maximal
-from dyadlab.weights import (MVEE_TOL, MatrixWeight, ap_constant,
-                             ap_dilated_constant, conjugate, diag_pairs,
-                             doubling_check, fit_ap_dimensions,
-                             geometric_mean, mvee, random_spd_field,
-                             reduce_exact_p2, reduce_general, reducing_family,
-                             rhi_constant, sobolev_condition_constant,
-                             spd_power)
+from dyadlab.weights import (MVEE_TOL, MatrixWeight, ap_constant, diag_pairs,
+                             doubling_check, geometric_mean, mvee,
+                             random_spd_field, reduce_exact_p2,
+                             reduce_general, reducing_family, spd_power)
 
 INF = math.inf
 
@@ -348,53 +345,6 @@ class TestApConstant:
         P, R = rep.witness
         assert P == R and P.levels == (0,)
 
-    def test_off_diagonal_exponent(self, axes1):
-        w = Window.unit(axes1, (1,))
-        V = _scalar_weight(w, [1.0, 1.0])
-        rep = ap_constant(V, 2.0, diag_pairs(w), q=4.0)
-        assert rep.tag == "Apq"
-        assert abs(rep.constant - 1.0) < 1e-10
-
-
-def _power_step(window, beta):
-    """w(x) = (l + 1/2)^beta on unit cells of [0, 2^J)."""
-    n = window.shape[0]
-    return _scalar_weight(window, (np.arange(n) + 0.5) ** beta)
-
-
-class TestDilated:
-    def test_identity_flat(self):
-        w = Window.unit(AxisSpec((1,)), (3,))
-        V = _scalar_weight(w, np.ones(8))
-        for t in (0, 1, 2):
-            assert abs(ap_dilated_constant(V, 2.0, (t,)).constant - 1) < 1e-10
-
-    def test_step_weight_growth(self):
-        b = DyadicRect(AxisSpec((1,)), (-4,), ((0,),))
-        w = Window(b, (0,))
-        V = _power_step(w, 1.2)
-        cs = [ap_dilated_constant(V, 2.0, (t,)).constant for t in (1, 2, 3)]
-        # once the dilate of a high-value cell sweeps low-value cells the
-        # off-diagonal pair beats the t-independent full-window pair
-        assert cs[0] < cs[1] < cs[2]
-
-    def test_dimension_fit_identity(self, w2):
-        V = _const_matrix_weight(w2, np.eye(2))
-        fit = fit_ap_dimensions(V, 2.0, (0, 1, 2))
-        assert np.allclose(fit.d, 0.0, atol=1e-8)
-        assert np.allclose(fit.e, 0.0, atol=1e-8)
-        assert fit.in_range
-
-    def test_delta_combines_both_slopes(self):
-        b = DyadicRect(AxisSpec((1,)), (-3,), ((0,),))
-        w = Window(b, (0,))
-        V = _power_step(w, 0.8)
-        p = 2.0
-        fit = fit_ap_dimensions(V, p, (0, 1, 2))
-        assert np.allclose(fit.delta,
-                           fit.d / p + fit.e / conjugate(p), atol=1e-12)
-        assert fit.d[0] > 0.0
-
 
 def _doubling_loop(fam, strong=None, weak=None):
     """The per-pair Fraction loop doubling_check replaced (oracle)."""
@@ -461,26 +411,6 @@ class TestDoubling:
             doubling_check(fam)
 
 
-class TestRhi:
-    def test_identity_is_one(self, w1):
-        V = _scalar_weight(w1, np.ones(4))
-        rects = [R for j in w1.levels() for _, R in w1.rects_at_level(j)]
-        for s in (2.0, 4.0, INF):
-            assert rhi_constant(V, 2.0, s, rects) == pytest.approx(1.0)
-
-    def test_monotone_in_s(self, w1, rng):
-        V = random_spd_field(w1, 2, rng)
-        rects = [R for j in w1.levels() for _, R in w1.rects_at_level(j)]
-        cs = [rhi_constant(V, 1.0, s, rects, rng=rng) for s in (1.0, 2.0, 4.0)]
-        assert cs[0] == pytest.approx(1.0)
-        assert cs[0] <= cs[1] + 1e-12 <= cs[2] + 2e-12
-
-    def test_rejects_s_below_p(self, w1):
-        V = _scalar_weight(w1, np.ones(4))
-        with pytest.raises(ValueError):
-            rhi_constant(V, 2.0, 1.0, [])
-
-
 class TestGeometricMean:
     A = np.array([[2.0, 1.0], [1.0, 2.0]])
     B = np.array([[3.0, 0.0], [0.0, 1.0]])
@@ -508,23 +438,3 @@ class TestGeometricMean:
         lhs = geometric_mean(self.A, self.B, th)
         rhs = geometric_mean(self.B, self.A, 1.0 - th)
         assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-class TestSobolevCondition:
-    def test_flat_identity_balance(self, w1):
-        V = _scalar_weight(w1, np.ones(4))
-        rects = [R for j in w1.levels() for _, R in w1.rects_at_level(j)]
-        # s1 - n/p1 = s0 - n/p0 makes every pair an equality
-        C = sobolev_condition_constant(V, V, 1.0, 2.0, (0.5,), (0.0,), rects)
-        assert C == pytest.approx(1.0)
-
-    def test_smoothness_excess_grows(self, w1):
-        V = _scalar_weight(w1, np.ones(4))
-        rects = [R for j in w1.levels() for _, R in w1.rects_at_level(j)]
-        C = sobolev_condition_constant(V, V, 1.0, 2.0, (0.5,), (0.5,), rects)
-        assert C == pytest.approx(2.0 ** 1.0)  # finest level j = 2, excess 1/2
-
-    def test_requires_increasing_p(self, w1):
-        V = _scalar_weight(w1, np.ones(4))
-        with pytest.raises(ValueError):
-            sobolev_condition_constant(V, V, 2.0, 1.0, (0.0,), (0.0,), [])
