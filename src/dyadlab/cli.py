@@ -221,17 +221,9 @@ def cmd_weights(args):
     return _finish(cfg["out"], "weights", cfg, checks, t0, results)
 
 
-def _power_step_weight(J: int, beta: float):
-    from .geometry import AxisSpec, DyadicRect, PiecewiseField, Window
-    from .weights import MatrixWeight
-    axes = AxisSpec((1,))
-    w = Window(DyadicRect(axes, (-J,), ((0,),)), (0,))
-    x = np.arange(2 ** J) + 0.5
-    return MatrixWeight(PiecewiseField(w, (x ** beta).reshape(-1, 1, 1)))
-
-
 def cmd_maximal(args):
     from .maximal import operator_norm_estimate
+    from .weights import power_weight
     t0 = time.monotonic()
     cfg = _load_config(args)
     rng = np.random.default_rng(cfg["seed"])
@@ -239,7 +231,7 @@ def cmd_maximal(args):
     for p in (1.5, 2.0, 3.0):
         ests = []
         for J in (2, 3, 4):
-            V = _power_step_weight(J, 0.2)
+            V = power_weight(J, 0.2)
             ests.append(operator_norm_estimate(V, p, trials=10, rng=rng))
             rows.append((p, J, ests[-1]))
         spread = max(ests) / min(ests)

@@ -44,7 +44,7 @@ import numpy as np
 
 from .geometry import AxisSpec, DyadicRect, Window
 from .mixed_norms import Permutation
-from .quilts import LevelDistribution, distribution_step
+from .quilts import LevelDistribution, distribution_step, moment_ratio
 
 __all__ = [
     "CASES", "CaseSpec", "RatioCurve", "generate", "measure",
@@ -278,10 +278,7 @@ def _open_multi_distribution(N, u):
     mu = LevelDistribution({1: 1})
     g = 0
     while True:
-        sigma = float(mu.p_pos)
-        mom = sum(float(k) ** u * float(pr)
-                  for k, pr in mu.probs.items() if k != 0)
-        if sigma < 1.0 / N and mom / sigma > N ** u:
+        if float(mu.p_pos) < 1.0 / N and moment_ratio(mu, u) > N ** u:
             return g, mu
         if g > 600:
             raise RuntimeError("no admissible generation found")
@@ -409,27 +406,14 @@ def _m_interp_fail(params, J):
     return float((vals ** q).sum() ** (1 / q)), 1.0
 
 
-def _ap_weight_window(params, J):
-    from .weights import MatrixWeight
-    from .geometry import PiecewiseField
-    p0, p1, theta = params["p0"], params["p1"], params["theta"]
-    alpha = params["alpha"]
-    beta_v = alpha * theta / p1
-    axes = AxisSpec((1,))
-    w = Window(DyadicRect(axes, (-J,), ((0,),)), (0,))
-    x = np.arange(2 ** J) + 0.5
-    vals = (x ** beta_v).reshape(-1, 1, 1)
-    return MatrixWeight(PiecewiseField(w, vals)), w
-
-
 def _m_ap_interp_fail(params, J):
     """Measured weight constant of the geometric-mean weight on the
     dyadic subintervals of [0, 2^J)."""
-    from .weights import ap_constant, diag_pairs
+    from .weights import ap_constant, diag_pairs, power_weight
     p0, p1, theta = params["p0"], params["p1"], params["theta"]
     p = 1.0 / ((1 - theta) / p0 + theta / p1)
-    V, w = _ap_weight_window(params, J)
-    rep = ap_constant(V, p, list(diag_pairs(w)))
+    V = power_weight(J, params["alpha"] * theta / p1)
+    rep = ap_constant(V, p, list(diag_pairs(V.window)))
     return rep.constant, 1.0
 
 
@@ -617,15 +601,12 @@ def _g_interp_fail(params, J):
 
 
 def _g_ap_interp_fail(params, J):
-    from .weights import MatrixWeight
-    from .geometry import PiecewiseField
-    V, w = _ap_weight_window(params, J)
-    # endpoint weights on the same window, for the boundedness control
-    x = np.arange(2 ** J) + 0.5
-    v1 = (x ** (params["alpha"] / params["p1"])).reshape(-1, 1, 1)
-    V1 = MatrixWeight(PiecewiseField(w, v1))
-    return {"window": w, "geometric_mean": V, "endpoint0_value": 1.0,
-            "endpoint1": V1}
+    from .weights import power_weight
+    alpha, p1 = params["alpha"], params["p1"]
+    V = power_weight(J, alpha * params["theta"] / p1)
+    # endpoint weight on the same window, for the boundedness control
+    return {"window": V.window, "geometric_mean": V, "endpoint0_value": 1.0,
+            "endpoint1": power_weight(J, alpha / p1)}
 
 
 _GENERATORS = {

@@ -128,11 +128,7 @@ class Window:
         self.axes = bounds.axes
         self.bounds = bounds
         self.j_max = tuple(j_max)
-        shape = []
-        for i in range(self.axes.k):
-            f = 1 << (self.j_max[i] - bounds.levels[i])
-            shape.extend([f] * self.axes.dims[i])
-        self.shape = tuple(shape)
+        self.shape = self.coarse_shape(self.j_max)
 
     @classmethod
     def unit(cls, axes: AxisSpec, j_max: tuple[int, ...]) -> "Window":
@@ -161,29 +157,22 @@ class Window:
         ranges = [range(b, j + 1) for b, j in zip(self.bounds.levels, self.j_max)]
         return itertools.product(*ranges)
 
+    def _pow2_per_coord(self, hi, lo) -> tuple[int, ...]:
+        """2^(hi_i - lo_i) for each parameter i, once per coordinate axis."""
+        return tuple(1 << (h - b) for h, b, n in zip(hi, lo, self.axes.dims)
+                     for _ in range(n))
+
     def coarse_shape(self, j: tuple[int, ...]) -> tuple[int, ...]:
-        shape = []
-        for i in range(self.axes.k):
-            f = 1 << (j[i] - self.bounds.levels[i])
-            shape.extend([f] * self.axes.dims[i])
-        return tuple(shape)
+        return self._pow2_per_coord(j, self.bounds.levels)
 
     def block_factors(self, j: tuple[int, ...]) -> tuple[int, ...]:
         """Base cells per level-j rectangle, along each coordinate axis."""
-        fac = []
-        for i in range(self.axes.k):
-            f = 1 << (self.j_max[i] - j[i])
-            fac.extend([f] * self.axes.dims[i])
-        return tuple(fac)
+        return self._pow2_per_coord(self.j_max, j)
 
     def rects_at_level(self, j: tuple[int, ...]):
         """Iterate (index, DyadicRect) over the level-j rectangles inside."""
         cs = self.coarse_shape(j)
-        base = []
-        for i in range(self.axes.k):
-            scale = 1 << (j[i] - self.bounds.levels[i])
-            for m in self.bounds.offsets[i]:
-                base.append(m * scale)
+        base = [m * s for m, s in zip(sum(self.bounds.offsets, ()), cs)]
         for idx in itertools.product(*(range(c) for c in cs)):
             offs, pos = [], 0
             for i, n in enumerate(self.axes.dims):
@@ -203,13 +192,10 @@ class Window:
         if any(j < b or j > m for j, b, m in
                zip(R.levels, self.bounds.levels, self.j_max)):
             raise ValueError("rectangle level outside window levels")
-        idx = []
-        for i in range(self.axes.k):
-            scale = 1 << (R.levels[i] - self.bounds.levels[i])
-            idx.extend(m - b * scale for m, b in
-                       zip(R.offsets[i], self.bounds.offsets[i]))
-        if any(c < 0 or c >= n for c, n in
-               zip(idx, self.coarse_shape(R.levels))):
+        cs = self.coarse_shape(R.levels)
+        idx = [m - b * s for m, b, s in zip(sum(R.offsets, ()),
+                                            sum(self.bounds.offsets, ()), cs)]
+        if any(c < 0 or c >= n for c, n in zip(idx, cs)):
             raise ValueError("rectangle not inside window")
         return tuple(idx)
 

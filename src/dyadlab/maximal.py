@@ -21,7 +21,6 @@ __all__ = [
 @dataclass
 class MaximalResult:
     field: PiecewiseField
-    tag: str
     extra: dict = None
 
 
@@ -33,7 +32,7 @@ def strong_maximal(f: PiecewiseField, p: float = 1.0) -> MaximalResult:
     out = np.zeros(w.shape)
     for j in w.levels():
         np.maximum(out, expand_mask(w, block_lp(w, g, j, p), j), out=out)
-    return MaximalResult(PiecewiseField(w, out), "strong")
+    return MaximalResult(PiecewiseField(w, out))
 
 
 def weighted_maximal(V: MatrixWeight, f: PiecewiseField,
@@ -59,7 +58,7 @@ def weighted_maximal(V: MatrixWeight, f: PiecewiseField,
         block = T[np.ix_(idx, idx)]
         vals = (block ** v).mean(axis=1) ** (1.0 / v)
         out[idx] = np.maximum(out[idx], vals)
-    return MaximalResult(PiecewiseField(w, out.reshape(w.shape)), "weighted")
+    return MaximalResult(PiecewiseField(w, out.reshape(w.shape)))
 
 
 def reducing_maximal(F: MatrixWeight, v: float = 1.0,
@@ -85,7 +84,7 @@ def reducing_maximal(F: MatrixWeight, v: float = 1.0,
         _balanced_fit(dirs / s[:nfit, None], fresh, s[nfit:])
         for s in S.reshape(S.shape[0], -1).T]))
     res = PiecewiseField(w, out.reshape(w.shape + (m, m)))
-    return MaximalResult(res, "reducing", {"certs": certs})
+    return MaximalResult(res, {"certs": certs})
 
 
 def operator_norm_estimate(V: MatrixWeight, p: float, v: float = 1.0,

@@ -133,9 +133,6 @@ class LevelDistribution:
     """Law of the overlap count: support point -> exact probability."""
     probs: dict = field(default_factory=lambda: {1: Fraction(1)})
 
-    def mass(self, k):
-        return self.probs.get(k, Fraction(0))
-
     @property
     def p_pos(self):
         return sum((p for k, p in self.probs.items() if k != 0), Fraction(0))
@@ -154,14 +151,17 @@ def distribution_step(mu: LevelDistribution, cap: int = None,
                       quantum_bits: int = None) -> LevelDistribution:
     """One refinement step of the overlap-count law: the new count is
     d1 X1 + d2 X2 with X1, X2 i.i.d. mu and d1, d2 independent fair coin
-    flips; equivalently nu * nu with nu = (delta_0 + mu)/2.
+    flips; equivalently nu * nu with nu = (delta_0 + mu)/2, squared
+    exactly by one big-integer multiply over the integer support points.
 
     With cap/quantum_bits set, the result is coarsened in a mean-exact
     way: support points beyond `cap` merge into their conditional mean,
     and probabilities are floored to the dyadic quantum 2^-quantum_bits
     with the lost mass and mean restored as one exact correction atom.
-    Total mass and mean are preserved exactly in both modes.  Giving only
-    one of cap/quantum_bits raises ValueError.
+    That atom usually sits at a non-integer point; the next squarings add
+    the pairs involving such atoms term by term.  Total mass and mean are
+    preserved exactly in both modes.  Giving only one of cap/quantum_bits
+    raises ValueError.
     """
     if (cap is None) != (quantum_bits is None):
         raise ValueError("give both cap and quantum_bits, or neither")
@@ -176,42 +176,40 @@ def distribution_step(mu: LevelDistribution, cap: int = None,
 
 
 def _square_law(nu: dict) -> dict:
-    """Law of the sum of two independent copies of nu."""
-    fast = all(isinstance(k, int) and k >= 0 for k in nu) and \
-        all(_pow2_denom(p) for p in nu.values())
-    if fast:
-        return _square_law_kronecker(nu)
-    conv: dict = {}
-    items = list(nu.items())
-    for i, (k1, p1) in enumerate(items):
-        for k2, p2 in items[i:]:
-            w = p1 * p2 if k1 == k2 else 2 * p1 * p2
-            conv[k1 + k2] = conv.get(k1 + k2, Fraction(0)) + w
-    return conv
+    """Law of the sum of two independent copies of nu, exactly; nu holds
+    the point 0, as `distribution_step` builds it.
 
-
-def _pow2_denom(p) -> bool:
-    return p.denominator & (p.denominator - 1) == 0
-
-
-def _square_law_kronecker(nu: dict) -> dict:
-    """Exact polynomial squaring via packing the numerators into one big
-    integer (dyadic denominators only); one multiply instead of S^2."""
-    dm = max(p.denominator.bit_length() - 1 for p in nu.values())
-    S = max(nu)
-    B = 2 * dm + (S + 1).bit_length() + 1
-    X = 0
-    for k, p in nu.items():
-        X += p.numerator << (dm - (p.denominator.bit_length() - 1)) << (k * B)
+    Every probability becomes an integer numerator over D, the lcm of the
+    denominators.  The numerators on the non-negative int support points
+    fill fixed-width byte fields of one big integer; one multiply squares
+    it, and field k of the product is the numerator of P(X1 + X2 = k) over
+    D^2.  Each pair that involves another support point (a negative or
+    non-int key) is added term by term.  A sum keeps the key of the first
+    pair reaching it, packed pairs first, so packed sums are ints."""
+    D = math.lcm(*(p.denominator for p in nu.values()))
+    num = {k: p.numerator * (D // p.denominator) for k, p in nu.items()}
+    ints = {k: c for k, c in num.items() if isinstance(k, int) and k >= 0}
+    other = [k for k in num if k not in ints]
+    S = max(ints)
+    nb = (2 * sum(ints.values()).bit_length() + 7) // 8
+    packed = b"".join(ints.get(k, 0).to_bytes(nb, "little")
+                      for k in range(S + 1))
+    X = int.from_bytes(packed, "little")
+    del packed
     Y = X * X
-    mask = (1 << B) - 1
-    den = 1 << (2 * dm)
-    out = {}
+    del X
+    view = memoryview(Y.to_bytes((2 * S + 1) * nb, "little"))
+    del Y
+    acc = {}
     for k in range(2 * S + 1):
-        c = (Y >> (k * B)) & mask
+        c = int.from_bytes(view[k * nb:(k + 1) * nb], "little")
         if c:
-            out[k] = Fraction(c, den)
-    return out
+            acc[k] = c
+    for i, a in enumerate(other):
+        acc[a + a] = acc.get(a + a, 0) + num[a] * num[a]
+        for b in [*ints, *other[i + 1:]]:
+            acc[a + b] = acc.get(a + b, 0) + 2 * num[a] * num[b]
+    return {k: Fraction(c, D * D) for k, c in acc.items()}
 
 
 def _coarsen(probs: dict, cap: int, quantum_bits: int) -> dict:

@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (DyadicRect, PiecewiseField, Window, expand_mask,
-                       rect_arrays)
+from .geometry import (AxisSpec, DyadicRect, PiecewiseField, Window,
+                       expand_mask, rect_arrays)
 
 __all__ = [
     "MatrixWeight", "ReducingFamily", "ApReport",
-    "conjugate", "op_norm", "spd_power", "random_spd_field",
+    "conjugate", "op_norm", "spd_power", "random_spd_field", "power_weight",
     "lp_seminorm", "reduce_exact_p2", "reduce_general", "mvee",
     "reducing_family", "two_variable_norm", "ap_constant", "diag_pairs",
     "doubling_check", "geometric_mean",
@@ -89,6 +89,13 @@ def random_spd_field(window: Window, m: int, rng, log_cond: float = 2.0):
     lam = 2.0 ** rng.uniform(-log_cond, log_cond, window.shape + (m,))
     V = (Q * lam[..., None, :]) @ Q.swapaxes(-1, -2)
     return MatrixWeight(PiecewiseField(window, V))
+
+
+def power_weight(J: int, beta: float) -> MatrixWeight:
+    """The scalar weight (x + 1/2)^beta on the unit cells of [0, 2^J)."""
+    w = Window(DyadicRect(AxisSpec((1,)), (-J,), ((0,),)), (0,))
+    x = np.arange(2 ** J) + 0.5
+    return MatrixWeight(PiecewiseField(w, (x ** beta).reshape(-1, 1, 1)))
 
 
 def _cells_and_weights(V: MatrixWeight, S):
@@ -224,7 +231,6 @@ class ReducingFamily:
     """Reducing operators indexed by dyadic rectangle."""
     matrices: dict[DyadicRect, np.ndarray]
     p: float
-    method: str  # "exact-p2" | "ellipsoid"
     certificates: dict[DyadicRect, tuple] = field(default_factory=dict)
 
     def level_weight(self, window: Window):
@@ -242,16 +248,15 @@ def reducing_family(V: MatrixWeight, levels, p: float = 2.0,
                     rng=None) -> ReducingFamily:
     """Reducing operators of order p for every rectangle at the given
     levels: exact when p = 2, ellipsoid-fitted with certificates otherwise."""
-    method = "exact-p2" if p == 2 else "ellipsoid"
     mats, certs = {}, {}
     for j in levels:
         for _, R in V.window.rects_at_level(j):
-            if method == "exact-p2":
+            if p == 2:
                 mats[R] = reduce_exact_p2(V, R)
             else:
                 A, cert, _ = reduce_general(V, R, p, rng=rng)
                 mats[R], certs[R] = A, cert
-    return ReducingFamily(mats, p, method, certs)
+    return ReducingFamily(mats, p, certs)
 
 
 def two_variable_norm(A_cells, a_w, B_cells, b_w, p: float, pp: float) -> float:

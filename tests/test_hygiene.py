@@ -1,5 +1,5 @@
-"""Package hygiene: public names resolve, have a caller, and no import
-goes unused."""
+"""Package hygiene: public names resolve, have a caller, class members
+are read, and no import goes unused."""
 import ast
 import importlib
 import pathlib
@@ -55,6 +55,39 @@ def test_every_public_name_has_a_caller():
     uncalled = sorted(f"{name}.{attr}" for name, attr in public
                       if attr not in loaded | REFERENCES)
     assert not uncalled, f"no caller outside the tests: {uncalled}"
+
+
+def _members(path):
+    """(class, member) for each method, property and annotated field of
+    the top-level classes of a file, dunder methods left out."""
+    out = []
+    for cls in ast.parse(path.read_text()).body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for item in cls.body:
+            if isinstance(item, ast.FunctionDef):
+                name = item.name
+            elif (isinstance(item, ast.AnnAssign)
+                  and isinstance(item.target, ast.Name)):
+                name = item.target.id
+            else:
+                continue
+            if not (name.startswith("__") and name.endswith("__")):
+                out.append((cls.name, name))
+    return out
+
+
+def test_every_member_is_read():
+    files = [p for d in ("src", "tests", "demos", "perfbench")
+             for p in (ROOT / d).rglob("*.py")]
+    read = {node.attr for path in files
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    unread = sorted(f"{path.stem}.{cls}.{name}"
+                    for path in SRC.glob("*.py")
+                    for cls, name in _members(path) if name not in read)
+    assert not unread, f"members never read as an attribute: {unread}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dyadlab import quilts
 from dyadlab.geometry import AxisSpec, DyadicRect
 from dyadlab.quilts import (LevelDistribution, Quilt, distribution_step,
                             enumerate_distribution, lemma_step_check,
@@ -134,3 +135,76 @@ class TestRationalBounds:
         assert second["ratio"] in ("holds", "equality")
         # the simpler stated factor overshoots once coverage drops below 1
         assert second["ratio_literal"] == "fails"
+
+
+def _square_law_loop(nu):
+    """All-pairs squaring, the path the packed multiply replaced: oracle."""
+    conv = {}
+    items = list(nu.items())
+    for i, (k1, p1) in enumerate(items):
+        for k2, p2 in items[i:]:
+            w = p1 * p2 if k1 == k2 else 2 * p1 * p2
+            conv[k1 + k2] = conv.get(k1 + k2, Fraction(0)) + w
+    return conv
+
+
+def _assert_same_law(got, want):
+    assert got == want
+    assert {k: type(k) for k in got} == {k: type(k) for k in want}
+
+
+F = Fraction
+
+
+class TestSquareLaw:
+    """`_square_law` against the all-pairs loop, with `==` and key types."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        """Run every squaring that `distribution_step` does through the
+        oracle as well; yields the list of inputs seen."""
+        seen = []
+        fast = quilts._square_law
+
+        def both(nu):
+            seen.append(nu)
+            got = fast(nu)
+            _assert_same_law(got, _square_law_loop(nu))
+            return got
+        monkeypatch.setattr(quilts, "_square_law", both)
+        return seen
+
+    def test_exact_steps(self, checked):
+        mu = LevelDistribution()
+        for _ in range(9):
+            mu = distribution_step(mu)
+        assert len(checked) == 9
+
+    @pytest.mark.parametrize("cap,bits", [(256, 96), (4096, 192)])
+    def test_capped_steps(self, checked, cap, bits):
+        mu = LevelDistribution()
+        for _ in range(10):
+            mu = distribution_step(mu, cap=cap, quantum_bits=bits)
+        # the laws from step 7 on carry non-integer atoms: squarings 8 on
+        # pair an atom with the integers, and squarings 9 on two atoms
+        tails = [sum(not isinstance(k, int) for k in nu) for nu in checked]
+        assert tails[:6] == [0] * 6 and tails[7] and min(tails[8:]) >= 2
+
+    @pytest.mark.parametrize("nu", [
+        {0: F(1, 3), 1: F(1, 2), 3: F(1, 6)},                # non-dyadic
+        {0: F(1, 2), -1: F(1, 8), 2: F(3, 8)},               # negative key
+        {0: F(1, 2), 1: F(1, 4), F(1, 2): F(1, 8),           # 1/2 + 3/2 = 2
+         F(3, 2): F(1, 8)},
+        {0: F(1, 2), 2: F(1, 8), F(5, 2): F(1, 16),          # 5/2 + 7/2 = 6
+         F(7, 2): F(1, 16), F(7, 3): F(1, 8), F(11, 3): F(1, 8)},
+    ], ids=["non-dyadic", "negative", "two-atoms", "integral-sums"])
+    def test_hand_made(self, nu):
+        _assert_same_law(quilts._square_law(nu), _square_law_loop(nu))
+
+    def test_int_pair_keeps_int_key(self):
+        # the loop typed a sum by the first pair in dict order; here
+        # 1/2 + 3/2 comes before 1 + 1, so it gave Fraction(2)
+        nu = {0: F(1, 2), F(1, 2): F(1, 8), F(3, 2): F(1, 8), 1: F(1, 4)}
+        got = quilts._square_law(nu)
+        assert got == _square_law_loop(nu)
+        assert [type(k) for k in got if k == 2] == [int]

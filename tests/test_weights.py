@@ -11,7 +11,7 @@ from dyadlab.geometry import AxisSpec, DyadicRect, PiecewiseField, Window
 from dyadlab.maximal import reducing_maximal, strong_maximal
 from dyadlab.weights import (MVEE_TOL, MatrixWeight, ap_constant, diag_pairs,
                              doubling_check, geometric_mean, mvee,
-                             random_spd_field, reduce_exact_p2,
+                             power_weight, random_spd_field, reduce_exact_p2,
                              reduce_general, reducing_family, spd_power)
 
 INF = math.inf
@@ -337,6 +337,15 @@ class TestApConstant:
         cv = ap_constant(_scalar_weight(wa, v), 2.0, diag_pairs(wa)).constant
         cp = ap_constant(prod, 2.0, diag_pairs(w2)).constant
         assert cp == pytest.approx(cu * cv, rel=1e-9)
+
+    def test_power_weight_cells(self):
+        V = power_weight(3, 0.25)
+        assert V.window.bounds.levels == (-3,) and V.window.shape == (8,)
+        want = (np.arange(8) + 0.5) ** 0.25
+        assert np.array_equal(V.field.values[:, 0, 0], want)
+        # the constant weight is the exponent-zero case
+        assert ap_constant(power_weight(3, 0.0), 2.0,
+                           diag_pairs(V.window)).constant == 1.0
 
     def test_witness_is_reported(self, axes1):
         w = Window.unit(axes1, (1,))
